@@ -66,13 +66,13 @@ func main() {
 		res.Elapsed, res.Join.Candidates, res.Join.Verified, res.Cluster.BytesShuffled)
 
 	// Arm 2: the hand-built plane-sweep operator.
-	db.SetJoinMode(fudj.ModeBuiltin)
+	db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
 	res2, err := db.Execute(fudjQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Built-in: %v\n", res2.Elapsed)
-	db.SetJoinMode(fudj.ModeFUDJ)
+	db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
 
 	// Arm 3: on-top (NLJ + scalar UDF), the slow baseline.
 	res3, err := db.Execute(onTopQuery)

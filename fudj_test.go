@@ -218,7 +218,7 @@ func TestPublicBuiltins(t *testing.T) {
 	q := `SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 16)`
 
 	fudjCount := mustCount(t, db, q)
-	db.SetJoinMode(fudj.ModeBuiltin)
+	db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
 	builtinCount := mustCount(t, db, q)
 	if fudjCount != builtinCount {
 		t.Errorf("FUDJ %d != builtin plane-sweep %d", fudjCount, builtinCount)

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+
+	"fudj"
 )
 
 // Ablations for the design choices DESIGN.md calls out, beyond what the
@@ -137,11 +139,11 @@ func runAblationTheta(cfg Config, w io.Writer) error {
 		q := `SELECT COUNT(*) FROM nyctaxi n1, nyctaxi n2
 			WHERE n1.vendor = 1 AND n2.vendor = 2
 			AND overlapping_interval(n1.ride_interval, n2.ride_interval, 1000)`
-		e.db.SetSmartTheta(false)
+		e.db.MustConfigure(fudj.WithSmartTheta(false))
 		naive := timedQuery(e.db, q)
-		e.db.SetSmartTheta(true)
+		e.db.MustConfigure(fudj.WithSmartTheta(true))
 		smart := timedQuery(e.db, q)
-		e.db.SetSmartTheta(false)
+		e.db.MustConfigure(fudj.WithSmartTheta(false))
 		if naive.err != nil {
 			return naive.err
 		}

@@ -105,14 +105,14 @@ func deliverArm(recs []types.Record, mode string, bs int) *batchArm {
 // ingestArm pre-encodes the record set into frames of the given size
 // and times decoding them back into records.
 func ingestArm(recs []types.Record, mode string, bs int) *batchArm {
-	enc, dec := types.NewBatch(0), types.NewBatch(0)
+	dec := types.NewBatch(0)
 	var frames [][]byte
 	for lo := 0; lo < len(recs); lo += bs {
 		hi := lo + bs
 		if hi > len(recs) {
 			hi = len(recs)
 		}
-		frames = append(frames, types.EncodeBatch(recs[lo:hi], enc))
+		frames = append(frames, types.EncodeBatch(recs[lo:hi]))
 	}
 	return &batchArm{edge: "ingest", mode: mode, op: func() error {
 		total := 0

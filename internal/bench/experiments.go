@@ -91,9 +91,9 @@ func runFig1(cfg Config, w io.Writer) error {
 	onTopQ := `SELECT COUNT(*) FROM parks p, wildfires w WHERE st_intersects(p.boundary, w.location)`
 
 	fudjRun := timedQuery(e.db, q)
-	e.db.SetJoinMode(fudj.ModeBuiltin)
+	e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
 	builtinRun := timedQuery(e.db, q)
-	e.db.SetJoinMode(fudj.ModeFUDJ)
+	e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
 	ontopRun := timedQuery(e.db, onTopQ)
 	for _, r := range []runResult{fudjRun, builtinRun, ontopRun} {
 		if r.err != nil {

@@ -104,11 +104,11 @@ func runExtraINLJ(cfg Config, w io.Writer) error {
 		}
 		q := `SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 32)`
 		f := timedQuery(e.db, q)
-		e.db.SetJoinMode(fudj.ModeBuiltin)
+		e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
 		bi := timedQuery(e.db, q)
 		e.db.RegisterBuiltinJoin("spatial_join", fudj.BuiltinSpatialINLJ)
 		inlj := timedQuery(e.db, q)
-		e.db.SetJoinMode(fudj.ModeFUDJ)
+		e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
 		onTop := runResult{dnf: true}
 		if !deadOnTop {
 			onTop = timedQuery(e.db, `SELECT COUNT(*) FROM parks p, wildfires w

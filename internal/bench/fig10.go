@@ -72,7 +72,7 @@ func runFig10(cfg Config, w io.Writer) error {
 			if fudjRun.err != nil {
 				return fudjRun.err
 			}
-			e.db.SetJoinMode(fudj.ModeBuiltin)
+			e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
 			builtinRun := timedQuery(e.db, wl.query)
 			if builtinRun.err != nil {
 				return builtinRun.err

@@ -525,15 +525,15 @@ func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 // transferFrame serializes one columnar frame across a node boundary,
 // injecting corruption and resending up to the attempt budget. Every
 // attempt, including resends, is charged to the shuffle and batch
-// counters. enc and dec are the caller's scratch batches (pooled so
-// vector capacity survives across frames).
-func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record, frameIdx int64, maxAttempts int, enc, dec *types.Batch) ([]types.Record, error) {
+// counters. dec is the caller's decode scratch (pooled so vector
+// capacity survives across frames).
+func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record, frameIdx int64, maxAttempts int, dec *types.Batch) ([]types.Record, error) {
 	fi := c.faults
 	var decoded []types.Record
 	var err error
 	attempt := 0
 	for ; attempt < maxAttempts; attempt++ {
-		buf := types.EncodeBatch(frame, enc)
+		buf := types.EncodeBatch(frame)
 		if fi != nil && fi.corrupt(epoch, int64(src), int64(dst), frameIdx*131071+int64(attempt)) {
 			buf = corruptPayload(buf)
 		}
@@ -565,8 +565,7 @@ func (c *Cluster) deliverSequential(outbox [][][]types.Record) (Data, error) {
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
-	enc, dec := c.pool.Get(0), c.pool.Get(0)
-	defer c.pool.Put(enc)
+	dec := c.pool.Get(0)
 	defer c.pool.Put(dec)
 	out := c.NewData()
 	for src := 0; src < p; src++ {
@@ -587,7 +586,7 @@ func (c *Cluster) deliverSequential(outbox [][][]types.Record) (Data, error) {
 					if hi > len(batch) {
 						hi = len(batch)
 					}
-					decoded, err := c.transferFrame(epoch, src, dst, batch[lo:hi], frameIdx, maxAttempts, enc, dec)
+					decoded, err := c.transferFrame(epoch, src, dst, batch[lo:hi], frameIdx, maxAttempts, dec)
 					if err != nil {
 						return nil, err
 					}

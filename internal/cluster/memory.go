@@ -197,12 +197,11 @@ func (c *Cluster) deliverBounded(outbox [][][]types.Record) (Data, error) {
 		wg.Add(1)
 		go func(src int) {
 			defer wg.Done()
-			enc, dec := c.pool.Get(0), c.pool.Get(0)
-			defer c.pool.Put(enc)
+			dec := c.pool.Get(0)
 			defer c.pool.Put(dec)
 			for dst := 0; dst < p; dst++ {
 				if batch := outbox[src][dst]; len(batch) > 0 {
-					if err := c.sendBounded(epoch, src, dst, batch, inboxes[dst], chunkTarget, maxAttempts, enc, dec); err != nil {
+					if err := c.sendBounded(epoch, src, dst, batch, inboxes[dst], chunkTarget, maxAttempts, dec); err != nil {
 						fail(err)
 						return
 					}
@@ -253,9 +252,9 @@ func (c *Cluster) deliverBounded(outbox [][][]types.Record) (Data, error) {
 // bounded inbox, splitting it into chunks no larger than chunkTarget
 // estimated bytes and no longer than the cluster's frame row cap.
 // Cross-node chunks travel as columnar frames, fault-injected and
-// resent on corruption exactly like the sequential path. enc and dec
-// are the sender's pooled scratch batches.
-func (c *Cluster) sendBounded(epoch int64, src, dst int, batch []types.Record, in *inbox, chunkTarget int64, maxAttempts int, enc, dec *types.Batch) error {
+// resent on corruption exactly like the sequential path. dec is the
+// sender's pooled decode scratch.
+func (c *Cluster) sendBounded(epoch int64, src, dst int, batch []types.Record, in *inbox, chunkTarget int64, maxAttempts int, dec *types.Batch) error {
 	crossNode := c.NodeOf(src) != c.NodeOf(dst)
 	lo := 0
 	for chunkIdx := 0; lo < len(batch); chunkIdx++ {
@@ -281,7 +280,7 @@ func (c *Cluster) sendBounded(epoch int64, src, dst int, batch []types.Record, i
 		chunk := batch[lo:hi]
 		lo = hi
 		if crossNode {
-			decoded, err := c.transferFrame(epoch, src, dst, chunk, int64(chunkIdx), maxAttempts, enc, dec)
+			decoded, err := c.transferFrame(epoch, src, dst, chunk, int64(chunkIdx), maxAttempts, dec)
 			if err != nil {
 				return err
 			}

@@ -29,10 +29,10 @@ type Dataset struct {
 	Records []types.Record
 }
 
-// SizeBytes reports the wire-encoded size of the dataset, the analogue
-// of Table I's on-disk size column.
+// SizeBytes reports the dataset's size as one batch frame, the
+// analogue of Table I's on-disk size column.
 func (d *Dataset) SizeBytes() int {
-	return len(types.EncodeRecords(d.Records))
+	return len(types.EncodeBatch(d.Records))
 }
 
 // String renders a Table I style row.

@@ -216,7 +216,7 @@ func TestAmazonReviewHasNearDuplicates(t *testing.T) {
 
 func TestRecordsSurviveWireRoundTrip(t *testing.T) {
 	for _, ds := range []*Dataset{Wildfires(1, 20), Parks(2, 20), NYCTaxi(3, 20), AmazonReview(4, 20)} {
-		got, err := types.DecodeRecords(types.EncodeRecords(ds.Records))
+		got, err := types.DecodeBatch(types.EncodeBatch(ds.Records), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}

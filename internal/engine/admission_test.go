@@ -32,7 +32,7 @@ func blockingBuiltin(db *Database, release <-chan struct{}) {
 			}
 		}
 	})
-	db.SetJoinMode(ModeBuiltin)
+	db.MustConfigure(WithJoinMode(ModeBuiltin))
 }
 
 const blockableQuery = `SELECT count(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 8)`
@@ -103,6 +103,58 @@ func TestAdmissionShedsOnQueueFull(t *testing.T) {
 	st := db.SchedulerStats()
 	if st.Admitted != 2 || st.Shed != 1 || st.Running != 0 {
 		t.Errorf("scheduler stats = %+v, want 2 admitted, 1 shed, quiescent", st)
+	}
+}
+
+// TestAdmissionQueuedQueryKeepsSubmittedSettings pins when a query
+// reads its settings: once, as it is submitted. A query queued behind
+// a blocked one must run with the settings it was submitted under, not
+// with a Configure call made while it waited for its slot.
+func TestAdmissionQueuedQueryKeepsSubmittedSettings(t *testing.T) {
+	db := newTestDB(t, WithConcurrencyLimit(1))
+	release := make(chan struct{})
+	blockingBuiltin(db, release)
+	// The reference run: smart theta off, default frame size.
+	want := mustQuery(t, db, thetaSQL)
+
+	var wg sync.WaitGroup
+	var blockedErr, queuedErr error
+	var queued *Result
+	wg.Add(1)
+	go func() { // occupies the execution slot
+		defer wg.Done()
+		_, blockedErr = db.Execute(blockableQuery)
+	}()
+	waitStats(t, db, func(st sched.Stats) bool { return st.Running == 1 })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		queued, queuedErr = db.Execute(thetaSQL)
+	}()
+	waitStats(t, db, func(st sched.Stats) bool { return st.Waiting == 1 })
+	db.MustConfigure(WithSmartTheta(true), WithBatchSize(1))
+	close(release)
+	wg.Wait()
+	if blockedErr != nil || queuedErr != nil {
+		t.Fatalf("blocked query: %v; queued query: %v", blockedErr, queuedErr)
+	}
+
+	sameRows(t, "queued query", queued.Rows, want.Rows)
+	if queued.Join.Batches != want.Join.Batches {
+		t.Errorf("queued query encoded %d frames, want %d: it ran with the batch size configured after submission",
+			queued.Join.Batches, want.Join.Batches)
+	}
+	if queued.Cluster.RecordsShuffled != want.Cluster.RecordsShuffled {
+		t.Errorf("queued query shuffled %d records, want %d: it ran with smart theta configured after submission",
+			queued.Cluster.RecordsShuffled, want.Cluster.RecordsShuffled)
+	}
+
+	// The same query submitted now does see both settings, so the
+	// assertions above can tell the snapshots apart.
+	after := mustQuery(t, db, thetaSQL)
+	if after.Join.Batches == want.Join.Batches || after.Cluster.RecordsShuffled == want.Cluster.RecordsShuffled {
+		t.Fatalf("settings are not observable: frames %d vs %d, records shuffled %d vs %d",
+			after.Join.Batches, want.Join.Batches, after.Cluster.RecordsShuffled, want.Cluster.RecordsShuffled)
 	}
 }
 
@@ -288,8 +340,10 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 	go func() {
 		defer mutators.Done()
 		// Flip settings that never change query answers: memory budget,
-		// checkpoints, smart theta (these queries are equality-bucketed),
-		// and a zero-probability fault config.
+		// smart theta (these queries are equality-bucketed), and a
+		// zero-probability fault config. Checkpoints have no off switch,
+		// so they are re-enabled on every other round: each write still
+		// races the readers.
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -297,8 +351,10 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 			default:
 			}
 			db.MustConfigure(WithMemoryBudget(int64(i%2) * (64 << 20)))
-			db.SetCheckpoints(i%2 == 0)
-			db.SetSmartTheta(i%2 == 0)
+			if i%2 == 0 {
+				db.MustConfigure(WithCheckpoints())
+			}
+			db.MustConfigure(WithSmartTheta(i%2 == 0))
 			if i%2 == 0 {
 				db.MustConfigure(WithFaults(&cluster.FaultConfig{Seed: int64(i)}))
 			} else {

@@ -71,12 +71,12 @@ func TestByteIdenticalReexecution(t *testing.T) {
 		db := newTestDB(t)
 		db.RegisterBuiltinJoin("overlapping_interval", BuiltinJoinFunc(builtin.IntervalOIP))
 		db.RegisterBuiltinJoin("text_similarity_join", BuiltinJoinFunc(builtin.TextSimilarity))
-		db.SetJoinMode(mode)
+		db.MustConfigure(WithJoinMode(mode))
 		res := mustQuery(t, db, sql)
 		if len(res.Rows) == 0 {
 			t.Fatalf("query produced no rows: %s", sql)
 		}
-		return types.EncodeRecords(res.Rows)
+		return types.EncodeBatch(res.Rows)
 	}
 
 	for _, q := range queries {

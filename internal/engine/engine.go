@@ -8,6 +8,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,9 +46,8 @@ type BuiltinJoinFunc func(c *cluster.Cluster, left cluster.Data, leftKey expr.Ev
 // Database is one engine instance: metadata plus execution settings.
 // A Database is safe for concurrent Execute calls: every query passes
 // through the admission scheduler, and the mutable execution settings
-// below are guarded by mu so a Set* call mid-flight never races a
-// running query (each query reads a setting once, at a well-defined
-// point).
+// below are guarded by mu so a Configure call mid-flight never races a
+// running query (each query snapshots them once, as it is submitted).
 type Database struct {
 	catalog  *catalog.Catalog
 	sched    *sched.Scheduler
@@ -138,54 +138,15 @@ func (db *Database) MustConfigure(opts ...Option) {
 	}
 }
 
-// SetJoinMode switches between FUDJ and built-in execution of FUDJ
-// predicates.
-func (db *Database) SetJoinMode(m JoinMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.mode = m
-}
-
-// SetCheckpoints enables durable phase barriers for subsequent
-// queries: the broadcast plan and every partition's post-shuffle input
-// are checkpointed, so a node lost at a barrier recovers in place
-// (reload, or recompute on a damaged file) instead of aborting and
-// re-running the whole join step.
-func (db *Database) SetCheckpoints(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.ckpt = on
-}
-
-// SetSmartTheta enables the balanced theta bucket-matching operator
-// for multi-join FUDJs, replacing the paper's broadcast + random
-// partitioning (§VII-C) with coordinator-scheduled bucket pairs — the
-// Theta Join Operator the paper proposes as future work (§VIII).
-// Disabled by default to match the paper's measured configuration.
-func (db *Database) SetSmartTheta(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.smartTheta = on
-}
-
-// SetCluster reconfigures the simulated cluster for subsequent queries
-// (the scalability experiments sweep this).
-func (db *Database) SetCluster(cfg cluster.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.clusterCfg = cfg
-	return nil
-}
-
 // RegisterBuiltinJoin installs a hand-built operator for a FUDJ
-// function name, used when the join mode is ModeBuiltin.
+// function name, used when the join mode is ModeBuiltin. The registry
+// is copied on write, so a query's settings snapshot shares it safely.
 func (db *Database) RegisterBuiltinJoin(name string, op BuiltinJoinFunc) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.builtins[name] = op
+	next := maps.Clone(db.builtins)
+	next[name] = op
+	db.builtins = next
 }
 
 // MemoryBudget reports the configured per-query budget (0 = unbounded).
@@ -196,12 +157,14 @@ func (db *Database) MemoryBudget() int64 {
 }
 
 // execSettings is the point-in-time copy of the mutable execution
-// settings one query runs with: taken once under the read lock at
-// query start, so a concurrent Set* call flips the NEXT query, never a
-// running one.
+// settings one query runs with: taken once under the read lock when
+// the query is submitted, before planning and admission, so a
+// Configure call while it plans, queues or runs flips the NEXT query,
+// never this one.
 type execSettings struct {
 	clusterCfg cluster.Config
 	mode       JoinMode
+	builtins   map[string]BuiltinJoinFunc // copy-on-write; never mutated
 	smartTheta bool
 	faultCfg   *cluster.FaultConfig
 	retryPol   *cluster.RetryPolicy
@@ -227,6 +190,7 @@ func (db *Database) settings() execSettings {
 	return execSettings{
 		clusterCfg: db.clusterCfg,
 		mode:       db.mode,
+		builtins:   db.builtins,
 		smartTheta: db.smartTheta,
 		faultCfg:   fc,
 		retryPol:   rp,
@@ -234,28 +198,6 @@ func (db *Database) settings() execSettings {
 		ckpt:       db.ckpt,
 		batchSize:  db.batchSize,
 	}
-}
-
-// builtin looks one hand-built operator up under the read lock.
-func (db *Database) builtin(name string) (BuiltinJoinFunc, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	op, ok := db.builtins[name]
-	return op, ok
-}
-
-// joinMode reads the join mode under the read lock.
-func (db *Database) joinMode() JoinMode {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.mode
-}
-
-// smartThetaOn reads the smart-theta switch under the read lock.
-func (db *Database) smartThetaOn() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.smartTheta
 }
 
 // CreateDataset loads a dataset into the engine.
@@ -499,7 +441,7 @@ func (db *Database) ExecuteStmtContext(ctx context.Context, stmt sqlparse.Statem
 		return statusResult(fmt.Sprintf("join %q dropped", s.Name)), nil
 
 	case *sqlparse.Select:
-		plan, err := db.plan(s)
+		plan, err := db.plan(s, db.settings())
 		if err != nil {
 			return nil, err
 		}

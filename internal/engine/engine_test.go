@@ -414,12 +414,12 @@ func TestPredicatePushdown(t *testing.T) {
 
 func TestBuiltinModeFallsBackWithoutRegistration(t *testing.T) {
 	db := newTestDB(t)
-	db.SetJoinMode(ModeBuiltin)
+	db.MustConfigure(WithJoinMode(ModeBuiltin))
 	// No built-in registered: planner keeps the FUDJ plan.
 	res := mustQuery(t, db, `
 		SELECT COUNT(*) FROM parks p, wildfires w
 		WHERE spatial_join(p.boundary, w.location, 8)`)
-	db.SetJoinMode(ModeFUDJ)
+	db.MustConfigure(WithJoinMode(ModeFUDJ))
 	res2 := mustQuery(t, db, `
 		SELECT COUNT(*) FROM parks p, wildfires w
 		WHERE spatial_join(p.boundary, w.location, 8)`)
@@ -457,9 +457,9 @@ func TestBuiltinModeEndToEnd(t *testing.T) {
 		`SELECT a.id, b.id FROM reviews a, reviews b WHERE a.overall = 5 AND b.overall = 4 AND text_similarity_join(a.review, b.review, 0.8)`,
 	}
 	for _, q := range queries {
-		db.SetJoinMode(ModeFUDJ)
+		db.MustConfigure(WithJoinMode(ModeFUDJ))
 		fudjRes := mustQuery(t, db, q)
-		db.SetJoinMode(ModeBuiltin)
+		db.MustConfigure(WithJoinMode(ModeBuiltin))
 		builtinRes := mustQuery(t, db, q)
 		sameRows(t, q, fudjRes.Rows, builtinRes.Rows)
 		if len(fudjRes.Rows) == 0 {
@@ -471,7 +471,7 @@ func TestBuiltinModeEndToEnd(t *testing.T) {
 			t.Errorf("plan should show BUILTIN JOIN:\n%s", ex.Plan)
 		}
 	}
-	db.SetJoinMode(ModeFUDJ)
+	db.MustConfigure(WithJoinMode(ModeFUDJ))
 }
 
 func TestSmartThetaEquivalence(t *testing.T) {
@@ -485,11 +485,11 @@ func TestSmartThetaEquivalence(t *testing.T) {
 		 WHERE overlapping_interval(a.ride_interval, b.ride_interval, 25)`,
 	}
 	for i, q := range queries {
-		db.SetSmartTheta(false)
+		db.MustConfigure(WithSmartTheta(false))
 		naive := mustQuery(t, db, q)
-		db.SetSmartTheta(true)
+		db.MustConfigure(WithSmartTheta(true))
 		smart := mustQuery(t, db, q)
-		db.SetSmartTheta(false)
+		db.MustConfigure(WithSmartTheta(false))
 		sameRows(t, q, naive.Rows, smart.Rows)
 		if len(naive.Rows) == 0 {
 			t.Fatalf("no rows for %s", q)
@@ -515,7 +515,7 @@ func TestClusterSweepGivesSameAnswers(t *testing.T) {
 		{Nodes: 1, CoresPerNode: 8},
 		{Nodes: 6, CoresPerNode: 2},
 	} {
-		if err := db.SetCluster(cfg); err != nil {
+		if err := db.Configure(WithClusterConfig(cfg)); err != nil {
 			t.Fatal(err)
 		}
 		got := mustQuery(t, db, `

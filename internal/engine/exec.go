@@ -12,18 +12,19 @@ import (
 	"fudj/internal/storage"
 	"fudj/internal/trace"
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 // run executes a planned query on a fresh cluster instance. When
 // tracing is enabled it grows a span tree mirroring the executed plan
 // (query → operator → phase → partition task); all timing flows
-// through the database's injected clock, never time.Now. The mutable
-// database settings are snapshotted once at the top, so a concurrent
-// Set* call never changes a query mid-flight. The admission ticket
+// through the database's injected clock, never time.Now. It reads the
+// settings snapshot the plan was built under, so a Configure call
+// after submission never changes the query. The admission ticket
 // carries the query's memory lease: under a shared pool it overrides
 // the configured per-query budget (the lease IS the budget).
 func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *sched.Ticket) (*Result, error) {
-	set := db.settings()
+	set := p.set
 	start := db.clock.Now()
 	var root *trace.Span
 	if eo.trace {
@@ -428,8 +429,8 @@ func (db *Database) runBuiltinJoin(clus *cluster.Cluster, counters *statsCounter
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (out cluster.Data, err error) {
 
-	op, ok := db.builtin(f.def.Name)
-	if !ok {
+	op := f.builtin
+	if op == nil {
 		return nil, fmt.Errorf("engine: no built-in operator registered for %q", f.def.Name)
 	}
 	lkey, err := expr.Compile(f.leftKey, leftSchema)
@@ -501,16 +502,20 @@ func (p *queryPlan) filterRows(rows []types.Record) ([]types.Record, error) {
 }
 
 // distinctRows removes duplicate output rows, preserving first-seen
-// order.
+// order. A row's identity is its wire encoding, built in one reused
+// encoder: exact, unlike a 64-bit hash, which could merge two distinct
+// rows on a collision.
 func distinctRows(rows []types.Record) []types.Record {
 	seen := make(map[string]bool, len(rows))
+	e := wire.NewEncoder(64)
 	out := rows[:0]
 	for _, row := range rows {
-		key := string(types.EncodeRecords([]types.Record{row}))
-		if seen[key] {
+		e.Reset()
+		row.MarshalWire(e)
+		if seen[string(e.Bytes())] {
 			continue
 		}
-		seen[key] = true
+		seen[string(e.Bytes())] = true
 		out = append(out, row)
 	}
 	return out

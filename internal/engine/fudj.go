@@ -343,7 +343,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		if err != nil {
 			return nil, err
 		}
-	} else if db.smartThetaOn() {
+	} else if f.smartTheta {
 		// Balanced theta (the Theta Join Operator proposed as future
 		// work in §VIII): the coordinator gathers per-bucket record
 		// counts, enumerates the bucket pairs MATCH accepts, assigns

@@ -55,7 +55,10 @@ func WithJoinMode(m JoinMode) Option {
 }
 
 // WithSmartTheta enables the balanced theta bucket-matching operator
-// for multi-join FUDJs (see Database.SetSmartTheta).
+// for multi-join FUDJs, replacing the paper's broadcast + random
+// partitioning (§VII-C) with coordinator-scheduled bucket pairs — the
+// Theta Join Operator the paper proposes as future work (§VIII).
+// Disabled by default to match the paper's measured configuration.
 func WithSmartTheta(on bool) Option {
 	return optionFunc(func(db *Database) error {
 		db.smartTheta = on

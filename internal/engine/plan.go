@@ -58,6 +58,9 @@ type fudjStep struct {
 	rightKey expr.Expr // key expression over the new right table
 	params   []types.Value
 	selfJoin bool // same dataset with identical filters: summary reuse
+
+	builtin    BuiltinJoinFunc // the hand-built operator, when kind is joinBuiltin
+	smartTheta bool            // multi-join COMBINE runs the balanced theta operator
 }
 
 // joinStep joins the accumulated left input with one new table.
@@ -90,6 +93,7 @@ type orderKey struct {
 
 type queryPlan struct {
 	db        *Database
+	set       execSettings // snapshot taken at submission; plan and run both read it
 	scans     []tableScan
 	joins     []joinStep
 	post      []expr.Expr // residual filter after all joins
@@ -103,11 +107,13 @@ type queryPlan struct {
 	limit     int
 }
 
-func (db *Database) plan(sel *sqlparse.Select) (*queryPlan, error) {
+// plan binds and plans sel under set, the settings snapshot taken
+// when the query was submitted; execution reads the same snapshot.
+func (db *Database) plan(sel *sqlparse.Select, set execSettings) (*queryPlan, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("engine: query needs a FROM clause")
 	}
-	p := &queryPlan{db: db, limit: sel.Limit}
+	p := &queryPlan{db: db, set: set, limit: sel.Limit}
 
 	// Bind tables.
 	seen := map[string]bool{}
@@ -313,17 +319,20 @@ func (db *Database) buildFUDJStep(p *queryPlan, covered map[string]bool, rightId
 	}
 
 	kind := joinFUDJ
-	if db.joinMode() == ModeBuiltin {
-		if _, ok := db.builtin(call.Name); ok {
+	var op BuiltinJoinFunc
+	if p.set.mode == ModeBuiltin {
+		if op = p.set.builtins[call.Name]; op != nil {
 			kind = joinBuiltin
 		}
 	}
 	return joinStep{kind: kind, fudj: &fudjStep{
-		def:      def,
-		leftKey:  leftKey,
-		rightKey: rightKey,
-		params:   params,
-		selfJoin: selfJoin,
+		def:        def,
+		leftKey:    leftKey,
+		rightKey:   rightKey,
+		params:     params,
+		selfJoin:   selfJoin,
+		builtin:    op,
+		smartTheta: p.set.smartTheta,
 	}}, nil
 }
 

@@ -52,12 +52,11 @@ func summarizeTasks(root *trace.Span) int {
 // partitions from checkpoint, and never re-runs SUMMARIZE for the
 // surviving partitions (task spans equal to a fault-free run).
 func TestCheckpointRecoveryAtShuffleBarrier(t *testing.T) {
-	db := newTestDB(t)
+	plain := newTestDB(t)
+	db := newTestDB(t, WithCheckpoints())
 	for _, q := range chaosQueries {
 		t.Run(q.name, func(t *testing.T) {
-			db.SetCheckpoints(false)
-			db.MustConfigure(WithFaults(nil))
-			base, err := db.Execute(q.sql, Trace())
+			base, err := plain.Execute(q.sql, Trace())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +68,6 @@ func TestCheckpointRecoveryAtShuffleBarrier(t *testing.T) {
 				t.Fatal("baseline trace has no SUMMARIZE tasks — probe broken")
 			}
 
-			db.SetCheckpoints(true)
 			db.MustConfigure(WithFaults(barrierKillConfig(cluster.BarrierShuffle, 1)))
 			res, err := db.Execute(q.sql, Trace())
 			if err != nil {
@@ -150,7 +148,7 @@ func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := barrierKillConfig(cluster.BarrierShuffle, 1)
 			tc.arm(cfg)
-			db.SetCheckpoints(true)
+			db.MustConfigure(WithCheckpoints())
 			db.MustConfigure(WithFaults(cfg))
 			res := mustQuery(t, db, chaosQueries[0].sql)
 			sameRows(t, tc.name, res.Rows, base.Rows)
@@ -167,10 +165,10 @@ func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 // TestKillAtBarrierMatrix sweeps barrier × node: every combination
 // must recover in place and agree with the fault-free answer.
 func TestKillAtBarrierMatrix(t *testing.T) {
-	db := newTestDB(t)
+	plain := newTestDB(t)
+	db := newTestDB(t, WithCheckpoints())
 	for _, q := range chaosQueries {
-		base := mustQuery(t, db, q.sql)
-		db.SetCheckpoints(true)
+		base := mustQuery(t, plain, q.sql)
 		for _, b := range []cluster.Barrier{cluster.BarrierPlan, cluster.BarrierShuffle} {
 			for node := 0; node < 2; node++ {
 				name := fmt.Sprintf("%s/%s-node%d", q.name, b, node)
@@ -185,8 +183,6 @@ func TestKillAtBarrierMatrix(t *testing.T) {
 				}
 			}
 		}
-		db.SetCheckpoints(false)
-		db.MustConfigure(WithFaults(nil))
 	}
 }
 
@@ -197,7 +193,7 @@ func TestCheckpointRecoverySweepsTempFiles(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	db := newTestDB(t)
-	db.SetCheckpoints(true)
+	db.MustConfigure(WithCheckpoints())
 	db.MustConfigure(WithMemoryBudget(64 << 20))
 	cfg := chaosConfig(5)
 	cfg.BarrierKills = []cluster.BarrierKill{{Barrier: cluster.BarrierShuffle, Node: 0}}
@@ -223,7 +219,7 @@ func TestRecoveryCancelledQuerySweepsTempFiles(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	db := newTestDB(t)
-	db.SetCheckpoints(true)
+	db.MustConfigure(WithCheckpoints())
 	db.MustConfigure(WithMemoryBudget(64 << 20))
 	db.MustConfigure(WithFaults(&cluster.FaultConfig{
 		Seed:           1,

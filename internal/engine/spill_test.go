@@ -56,7 +56,7 @@ func TestBoundedSmartThetaEquivalence(t *testing.T) {
 	sql := chaosQueries[2].sql // interval join exercises the theta path
 	baseline := mustQuery(t, db, sql).Rows
 
-	db.SetSmartTheta(true)
+	db.MustConfigure(WithSmartTheta(true))
 	db.MustConfigure(WithMemoryBudget(tinyBudget))
 	res := mustQuery(t, db, sql)
 	sameRows(t, "smart theta under budget", res.Rows, baseline)

@@ -22,7 +22,7 @@ func TestCheckpointRecovery(t *testing.T) {
 	if len(clean.Rows) == 0 {
 		t.Fatal("fault-free run produced no rows")
 	}
-	db.SetCheckpoints(true)
+	db.MustConfigure(engine.WithCheckpoints())
 
 	for _, kill := range []struct {
 		name string

@@ -357,6 +357,7 @@ func decodeResponse(r io.Reader) (*Result, error) {
 		schema *types.Schema
 		rows   []types.Record
 	)
+	scratch := types.NewBatch(0) // decode scratch shared by the response's batch frames
 	for {
 		typ, payload, err := fr.Next()
 		if err != nil {
@@ -378,7 +379,7 @@ func decodeResponse(r io.Reader) (*Result, error) {
 				return nil, &serve.TransportError{Op: "decode schema", Err: err}
 			}
 		case serve.FrameBatch:
-			recs, err := types.DecodeRecords(payload)
+			recs, err := types.DecodeBatch(payload, scratch)
 			if err != nil {
 				return nil, &serve.TransportError{Op: "decode batch", Err: err}
 			}

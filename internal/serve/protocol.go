@@ -2,8 +2,9 @@
 // HTTP daemon that turn one engine.Database into the fudjd service,
 // without giving up the robustness guarantees the in-process engine
 // makes. Queries arrive over a versioned frame protocol; result
-// batches reuse the internal/wire record encoding (so network serde
-// cost is the same currency the simulated cluster pays) and every
+// batches travel as the engine's own batch frames (types.EncodeBatch,
+// the codec of shuffle, spill and checkpoint, so network serde cost is
+// the same currency the simulated cluster pays) and every
 // frame carries a CRC so a corrupted byte on the wire is detected,
 // never silently decoded. Errors cross the socket as structured
 // envelopes (envelope.go) that round-trip the engine's whole error
@@ -20,7 +21,7 @@
 //	offset 9-   payload
 //
 // Frame types: FrameSchema (JSON column descriptors), FrameBatch (one
-// record batch in types.EncodeRecords layout), FrameTrailer (JSON
+// types.EncodeBatch record batch frame), FrameTrailer (JSON
 // execution summary: row count, grouped stats, metrics snapshot), and
 // FrameError (JSON error envelope). A successful query is
 // schema, batch*, trailer; a failed one is zero or more data frames
@@ -42,7 +43,7 @@ import (
 // ProtoVersion is the wire protocol generation. A server refuses
 // requests from a different generation with a non-retryable envelope,
 // so a mixed deployment fails loudly instead of mis-decoding frames.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Request/response header names.
 const (
@@ -81,7 +82,7 @@ const (
 const (
 	// FrameSchema is a JSON schemaJSON payload describing the columns.
 	FrameSchema byte = 1
-	// FrameBatch is one record batch in types.EncodeRecords layout.
+	// FrameBatch is one record batch frame (types.EncodeBatch).
 	FrameBatch byte = 2
 	// FrameTrailer is the JSON Trailer closing a successful response.
 	FrameTrailer byte = 3
@@ -182,7 +183,7 @@ func EncodeBatchFrames(rows []types.Record) []byte {
 			bytes += types.RecordsMemSize(rows[n : n+1])
 			n++
 		}
-		out = AppendFrame(out, FrameBatch, types.EncodeRecords(rows[:n]))
+		out = AppendFrame(out, FrameBatch, types.EncodeBatch(rows[:n]))
 		rows = rows[n:]
 	}
 	return out

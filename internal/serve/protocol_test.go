@@ -66,7 +66,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if typ != FrameBatch {
 			continue
 		}
-		recs, err := types.DecodeRecords(payloads[i])
+		recs, err := types.DecodeBatch(payloads[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestFrameBatchChunking(t *testing.T) {
 	}
 	total := 0
 	for i := range typs {
-		recs, err := types.DecodeRecords(payloads[i])
+		recs, err := types.DecodeBatch(payloads[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,7 +187,6 @@ type CheckpointWriter struct {
 	w       *bufio.Writer
 	dst     string // published path, set at Close
 	pending []types.Record
-	scratch *types.Batch // column staging reused across frames
 	bytes   int64
 	frames  uint64
 	done    bool
@@ -201,7 +200,7 @@ func (s *CheckpointStore) NewCheckpointWriter(key string) (*CheckpointWriter, er
 	if err != nil {
 		return nil, fmt.Errorf("storage: create checkpoint temp: %w", err)
 	}
-	w := &CheckpointWriter{f: f, w: bufio.NewWriter(f), dst: s.Path(key), scratch: types.NewBatch(0)}
+	w := &CheckpointWriter{f: f, w: bufio.NewWriter(f), dst: s.Path(key)}
 	if _, err := w.w.WriteString(checkpointMagic); err != nil {
 		w.Abort()
 		return nil, fmt.Errorf("storage: write checkpoint magic: %w", err)
@@ -240,7 +239,7 @@ func (cw *CheckpointWriter) flushFrame() error {
 	if len(cw.pending) == 0 {
 		return nil
 	}
-	payload := types.EncodeBatch(cw.pending, cw.scratch)
+	payload := types.EncodeBatch(cw.pending)
 	cw.pending = cw.pending[:0]
 	return cw.writeFrame(payload)
 }

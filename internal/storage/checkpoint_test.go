@@ -21,7 +21,7 @@ func newStore(t *testing.T) *CheckpointStore {
 }
 
 func sameRecords(a, b []types.Record) bool {
-	return bytes.Equal(types.EncodeRecords(a), types.EncodeRecords(b))
+	return bytes.Equal(types.EncodeBatch(a), types.EncodeBatch(b))
 }
 
 func TestCheckpointRecordsRoundTrip(t *testing.T) {
@@ -222,6 +222,6 @@ func FuzzCheckpointReopen(f *testing.F) {
 			return
 		}
 		// Accepted input: records must re-encode without panicking.
-		_ = types.EncodeRecords(recs)
+		_ = types.EncodeBatch(recs)
 	})
 }

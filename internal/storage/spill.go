@@ -29,8 +29,7 @@ type RunWriter struct {
 	f       *os.File
 	w       *bufio.Writer
 	pending []types.Record
-	scratch *types.Batch // column staging reused across frames
-	bytes   int64        // encoded bytes written (including frame headers)
+	bytes   int64 // encoded bytes written (including frame headers)
 	records int64
 	closed  bool
 }
@@ -41,7 +40,7 @@ func NewRunWriter(dir string) (*RunWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: create spill run: %w", err)
 	}
-	return &RunWriter{f: f, w: bufio.NewWriter(f), scratch: types.NewBatch(0)}, nil
+	return &RunWriter{f: f, w: bufio.NewWriter(f)}, nil
 }
 
 // Path returns the run file's path.
@@ -73,7 +72,7 @@ func (rw *RunWriter) flushFrame() error {
 	if len(rw.pending) == 0 {
 		return nil
 	}
-	payload := types.EncodeBatch(rw.pending, rw.scratch)
+	payload := types.EncodeBatch(rw.pending)
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
 	if _, err := rw.w.Write(hdr[:n]); err != nil {

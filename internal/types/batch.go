@@ -6,23 +6,20 @@ import (
 	"fudj/internal/wire"
 )
 
-// Batch is a column-major container of records. The engine's hot path
-// moves batches instead of one Record at a time: each column holds its
-// scalar payloads in a typed slice, so a shuffle frame or a spill run
-// encodes a column's values contiguously (no per-value kind byte) and a
-// decoded batch materializes all of its records out of two arena
-// allocations instead of two per record.
+// Batch is the column-major decode scratch behind DecodeBatch: each
+// column holds its scalar payloads in a typed slice, so a large
+// columnar frame decodes with sequential appends and then materializes
+// all of its records out of two arena allocations (Records) instead of
+// two per record. BatchPool recycles batches so their vector capacity
+// survives across frames.
 //
-// A batch requires every row to have the same width (the engine's
-// streams are uniform-schema; the row-wise wire fallback covers the
-// degenerate case). Column layout is decided per column by the first
-// value appended: scalar kinds get a typed vector, and reference kinds
-// (polygon, linestring, list) or kind-mixed columns fall back to a
-// generic []Value vector that round-trips through DecodeValue.
+// Column layout comes from the frame's column tags: scalar kinds get a
+// typed vector, and reference kinds (polygon, linestring, list) or
+// kind-mixed columns use a generic []Value vector that round-trips
+// through DecodeValue.
 type Batch struct {
 	cols []vector
 	rows int
-	mem  int64 // Record-currency footprint of the materialized rows
 
 	tags []byte // column-tag scratch reused across DecodeBatch calls
 }
@@ -39,7 +36,6 @@ const batchGenericTag = 0xFF
 type vector struct {
 	kind    Kind
 	generic bool
-	set     bool // kind has been decided by a first append
 
 	i, j          []int64
 	f, f2, f3, f4 []float64
@@ -58,12 +54,6 @@ func (b *Batch) Rows() int { return b.rows }
 // Width reports the number of columns.
 func (b *Batch) Width() int { return len(b.cols) }
 
-// MemSize estimates the bytes of memory the batch's rows pin, in the
-// same currency as Record.MemSize/RecordsMemSize so batch-granular
-// budget accounting composes with the PR 2 machinery: materializing
-// the batch with Records and summing RecordsMemSize gives this number.
-func (b *Batch) MemSize() int64 { return b.mem }
-
 // Reset truncates the batch to zero rows, retaining column capacity so
 // a pooled batch reuses its vectors.
 func (b *Batch) Reset(width int) {
@@ -73,13 +63,12 @@ func (b *Batch) Reset(width int) {
 	b.cols = b.cols[:width]
 	for c := range b.cols {
 		col := &b.cols[c]
-		col.kind, col.generic, col.set = KindNull, false, false
+		col.kind, col.generic = KindNull, false
 		col.i, col.j = col.i[:0], col.j[:0]
 		col.f, col.f2, col.f3, col.f4 = col.f[:0], col.f2[:0], col.f3[:0], col.f4[:0]
 		col.s, col.vals = col.s[:0], col.vals[:0]
 	}
 	b.rows = 0
-	b.mem = 0
 }
 
 // typedKind reports whether k gets a typed vector (reference kinds and
@@ -91,128 +80,6 @@ func typedKind(k Kind) bool {
 		return true
 	}
 	return false
-}
-
-// appendValue appends v to column c, migrating the column to the
-// generic representation on the first kind mismatch.
-func (b *Batch) appendValue(c int, v Value) {
-	col := &b.cols[c]
-	if !col.set {
-		col.set = true
-		col.kind = v.kind
-		col.generic = !typedKind(v.kind)
-	} else if !col.generic && v.kind != col.kind {
-		b.migrateGeneric(c)
-	}
-	if col.generic {
-		col.vals = append(col.vals, v)
-		return
-	}
-	switch col.kind {
-	case KindNull:
-	case KindBool, KindInt64:
-		col.i = append(col.i, v.i)
-	case KindFloat64:
-		col.f = append(col.f, v.f)
-	case KindString:
-		col.s = append(col.s, v.s)
-	case KindUUID, KindInterval:
-		col.i = append(col.i, v.i)
-		col.j = append(col.j, v.j)
-	case KindPoint:
-		col.f = append(col.f, v.f)
-		col.f2 = append(col.f2, v.f2)
-	case KindRect:
-		col.f = append(col.f, v.f)
-		col.f2 = append(col.f2, v.f2)
-		col.f3 = append(col.f3, v.f3)
-		col.f4 = append(col.f4, v.f4)
-	}
-}
-
-// migrateGeneric rewrites column c from its typed representation to the
-// generic one, preserving existing rows.
-func (b *Batch) migrateGeneric(c int) {
-	col := &b.cols[c]
-	n := b.rows
-	vals := col.vals
-	if cap(vals) < n {
-		vals = make([]Value, 0, n+1)
-	}
-	for row := 0; row < n; row++ {
-		vals = append(vals, col.value(row))
-	}
-	col.vals = vals
-	col.generic = true
-	col.i, col.j = nil, nil
-	col.f, col.f2, col.f3, col.f4 = nil, nil, nil, nil
-	col.s = nil
-}
-
-// value reconstructs the Value at row for a column; no allocation for
-// scalar kinds.
-func (col *vector) value(row int) Value {
-	if col.generic {
-		return col.vals[row]
-	}
-	switch col.kind {
-	case KindNull:
-		return Null
-	case KindBool, KindInt64:
-		return Value{kind: col.kind, i: col.i[row]}
-	case KindFloat64:
-		return Value{kind: KindFloat64, f: col.f[row]}
-	case KindString:
-		return Value{kind: KindString, s: col.s[row]}
-	case KindUUID, KindInterval:
-		return Value{kind: col.kind, i: col.i[row], j: col.j[row]}
-	case KindPoint:
-		return Value{kind: KindPoint, f: col.f[row], f2: col.f2[row]}
-	case KindRect:
-		return Value{kind: KindRect, f: col.f[row], f2: col.f2[row], f3: col.f3[row], f4: col.f4[row]}
-	}
-	return Null
-}
-
-// AppendRecord appends one record as a new row. The record's width must
-// match the batch's; width mismatches indicate a planner bug and panic.
-func (b *Batch) AppendRecord(r Record) {
-	if len(r) != len(b.cols) {
-		panic(fmt.Sprintf("types: appending a %d-wide record to a %d-wide batch", len(r), len(b.cols)))
-	}
-	for c, v := range r {
-		b.appendValue(c, v)
-	}
-	b.rows++
-	b.mem += r.MemSize()
-}
-
-// AppendFrom appends row `row` of src as a new row of b. Both batches
-// must have the same width.
-func (b *Batch) AppendFrom(src *Batch, row int) {
-	if len(src.cols) != len(b.cols) {
-		panic(fmt.Sprintf("types: appending from a %d-wide batch to a %d-wide batch", len(src.cols), len(b.cols)))
-	}
-	var rowMem int64 = sliceHeader
-	for c := range src.cols {
-		v := src.cols[c].value(row)
-		b.appendValue(c, v)
-		rowMem += v.MemSize()
-	}
-	b.rows++
-	b.mem += rowMem
-}
-
-// Value returns the value at (row, col) without materializing the row.
-func (b *Batch) Value(row, col int) Value { return b.cols[col].value(row) }
-
-// Record materializes one row as a freshly allocated Record.
-func (b *Batch) Record(row int) Record {
-	r := make(Record, len(b.cols))
-	for c := range b.cols {
-		r[c] = b.cols[c].value(row)
-	}
-	return r
 }
 
 // transposeBlockRows sizes the row blocks of the Records transpose: one
@@ -304,34 +171,6 @@ func (col *vector) fillArena(arena []Value, w, c, base, hi int) {
 	}
 }
 
-// BatchFromRecords builds a batch from uniform-width records. It
-// reports false (and builds nothing) when the rows are not all the
-// same width, in which case callers fall back to row-wise encoding.
-func BatchFromRecords(b *Batch, recs []Record) bool {
-	if len(recs) == 0 {
-		b.Reset(0)
-		return true
-	}
-	w := len(recs[0])
-	if w == 0 {
-		// Zero-width rows carry no payload bytes, so a columnar frame
-		// could not bound its row count by the remaining input; the
-		// row-wise fallback keeps the count bounded by per-record
-		// header bytes instead.
-		return false
-	}
-	for _, r := range recs[1:] {
-		if len(r) != w {
-			return false
-		}
-	}
-	b.Reset(w)
-	for _, r := range recs {
-		b.AppendRecord(r)
-	}
-	return true
-}
-
 // Columnar batch wire format. A frame is:
 //
 //	formatByte (batchFormatColumnar | batchFormatRowWise)
@@ -351,155 +190,16 @@ func BatchFromRecords(b *Batch, recs []Record) bool {
 //	                          per-value kind bytes (generic columns use
 //	                          full DecodeValue framing per value)
 //
-// Row-wise payload: the legacy EncodeRecords bytes, used only for the
-// degenerate ragged-width case.
+// Row-wise payload, used only for ragged or zero-width rows:
+//
+//	uvarint(count)          — bounded by UvarintCount(1): every record
+//	                          encodes at least its field count
+//	records [count]         — Record.MarshalWire each: uvarint(fields)
+//	                          then one kind-tagged value per field
 const (
 	batchFormatColumnar = 0x01
 	batchFormatRowWise  = 0x02
 )
-
-// MarshalWire encodes the batch as one columnar frame.
-func (b *Batch) MarshalWire(e *wire.Encoder) {
-	e.Byte(batchFormatColumnar)
-	e.Uvarint(uint64(len(b.cols)))
-	for c := range b.cols {
-		col := &b.cols[c]
-		if col.generic {
-			e.Byte(batchGenericTag)
-		} else {
-			e.Byte(byte(col.kind))
-		}
-	}
-	e.Uvarint(uint64(b.rows))
-	for c := range b.cols {
-		col := &b.cols[c]
-		if col.generic {
-			for _, v := range col.vals {
-				v.MarshalWire(e)
-			}
-			continue
-		}
-		switch col.kind {
-		case KindNull:
-			// One pad byte per row keeps every column at >=1 byte/row,
-			// which is what lets the decoder bound `rows` with
-			// UvarintCount(1) before allocating vectors.
-			for row := 0; row < b.rows; row++ {
-				e.Byte(0)
-			}
-		case KindBool, KindInt64:
-			for _, v := range col.i {
-				e.Varint(v)
-			}
-		case KindFloat64:
-			for _, v := range col.f {
-				e.Float64(v)
-			}
-		case KindString:
-			for _, v := range col.s {
-				e.String(v)
-			}
-		case KindUUID, KindInterval:
-			for row := 0; row < b.rows; row++ {
-				e.Varint(col.i[row])
-				e.Varint(col.j[row])
-			}
-		case KindPoint:
-			for row := 0; row < b.rows; row++ {
-				e.Float64(col.f[row])
-				e.Float64(col.f2[row])
-			}
-		case KindRect:
-			for row := 0; row < b.rows; row++ {
-				e.Float64(col.f[row])
-				e.Float64(col.f2[row])
-				e.Float64(col.f3[row])
-				e.Float64(col.f4[row])
-			}
-		}
-	}
-}
-
-// UnmarshalWire decodes one batch frame (either format) into b,
-// replacing its contents but reusing vector capacity.
-func (b *Batch) UnmarshalWire(d *wire.Decoder) error {
-	format, err := d.Byte()
-	if err != nil {
-		return fmt.Errorf("types: batch format: %w", err)
-	}
-	switch format {
-	case batchFormatColumnar:
-		return b.decodeColumnar(d)
-	case batchFormatRowWise:
-		n, err := d.UvarintCount(1)
-		if err != nil {
-			return fmt.Errorf("types: batch row count: %w", err)
-		}
-		b.Reset(0)
-		for i := 0; i < n; i++ {
-			r, err := DecodeRecord(d)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				b.Reset(len(r))
-			}
-			if len(r) != len(b.cols) {
-				return fmt.Errorf("types: row-wise batch row %d is %d wide, want %d", i, len(r), len(b.cols))
-			}
-			b.AppendRecord(r)
-		}
-		return nil
-	}
-	return fmt.Errorf("types: unknown batch format 0x%02x", format)
-}
-
-func (b *Batch) decodeColumnar(d *wire.Decoder) error {
-	// Every column contributes at least its tag byte, so a corrupted
-	// width cannot exceed the remaining input.
-	width, err := d.UvarintCount(1)
-	if err != nil {
-		return fmt.Errorf("types: batch width: %w", err)
-	}
-	b.Reset(width)
-	for c := 0; c < width; c++ {
-		tag, err := d.Byte()
-		if err != nil {
-			return fmt.Errorf("types: batch column tag: %w", err)
-		}
-		col := &b.cols[c]
-		col.set = true
-		if tag == batchGenericTag {
-			col.kind, col.generic = KindNull, true
-			continue
-		}
-		k := Kind(tag)
-		if int(k) >= len(kindNames) || !typedKind(k) {
-			return fmt.Errorf("types: invalid batch column tag 0x%02x", tag)
-		}
-		col.kind, col.generic = k, false
-	}
-	// Every column encodes at least one byte per row (Null columns are
-	// padded), so the row count is bounded before vectors are sized.
-	rows, err := d.UvarintCount(1)
-	if err != nil {
-		return fmt.Errorf("types: batch rows: %w", err)
-	}
-	if width == 0 {
-		if rows != 0 {
-			return fmt.Errorf("types: batch claims %d rows with no columns", rows)
-		}
-		return nil
-	}
-	for c := 0; c < width; c++ {
-		if err := b.decodeColumn(d, c, rows); err != nil {
-			return err
-		}
-	}
-	b.rows = rows
-	b.mem += int64(rows) * sliceHeader
-	return nil
-}
 
 // decodeColumn reads one column's payload. rows is already bounded by
 // the caller's UvarintCount, so the vector allocations here cannot be
@@ -516,11 +216,9 @@ func (b *Batch) decodeColumn(d *wire.Decoder, c, rows int) error {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
 			col.vals = append(col.vals, v)
-			b.mem += v.MemSize()
 		}
 		return nil
 	}
-	b.mem += int64(rows) * valueBase
 	switch col.kind {
 	case KindNull:
 		for row := 0; row < rows; row++ {
@@ -556,7 +254,6 @@ func (b *Batch) decodeColumn(d *wire.Decoder, c, rows int) error {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
 			col.s = append(col.s, v)
-			b.mem += int64(len(v))
 		}
 	case KindUUID, KindInterval:
 		col.i = growInts(col.i, rows)
@@ -627,17 +324,16 @@ func growFloats(s []float64, n int) []float64 {
 
 // EncodeBatch encodes a record slice as one batch frame: columnar when
 // the rows are uniform width (always, for the engine's streams), the
-// row-wise fallback otherwise. scratch is accepted for symmetry with
-// DecodeBatch but unused: encoding reads columns straight out of the
-// records in one pass, with no staging copy.
-func EncodeBatch(recs []Record, scratch *Batch) []byte {
+// row-wise fallback otherwise. Encoding reads columns straight out of
+// the records in one pass, with no staging copy.
+func EncodeBatch(recs []Record) []byte {
 	e := wire.NewEncoder(len(recs)*24 + 16)
-	EncodeBatchInto(e, recs, scratch)
+	EncodeBatchInto(e, recs)
 	return e.Bytes()
 }
 
 // EncodeBatchInto appends one batch frame for recs to e. See EncodeBatch.
-func EncodeBatchInto(e *wire.Encoder, recs []Record, _ *Batch) {
+func EncodeBatchInto(e *wire.Encoder, recs []Record) {
 	if len(recs) == 0 {
 		e.Byte(batchFormatColumnar)
 		e.Uvarint(0) // width
@@ -748,13 +444,15 @@ func encodeRowWise(e *wire.Encoder, recs []Record) {
 	}
 }
 
-// DecodeBatch decodes one batch frame and materializes its records.
-// The columnar path decodes straight into one []Value arena and one
-// []Record header arena — two allocations for the whole frame, no
-// intermediate vector staging. scratch, when non-nil, carries small
-// reusable buffers across decodes. Unlike Batch.UnmarshalWire, this
-// handles ragged row-wise frames, which a column-major Batch cannot
-// represent.
+// DecodeBatch decodes one batch frame and materializes its records. It
+// is the one decoder for every record batch that crosses a node, a
+// spill run, a checkpoint or the serve wire. Columnar frames land in
+// one []Value arena and one []Record header arena — two allocations
+// for the whole frame — either directly (small frames) or through
+// typed column vectors staged in scratch (large frames, see
+// stagedDecodeMinRows). scratch, when non-nil, carries those reusable
+// buffers across decodes. Ragged row-wise frames, which a column-major
+// Batch cannot represent, decode record by record.
 func DecodeBatch(buf []byte, scratch *Batch) ([]Record, error) {
 	if scratch == nil {
 		scratch = NewBatch(0)
@@ -835,7 +533,6 @@ func decodeColumnarRecords(d *wire.Decoder, scratch *Batch) ([]Record, error) {
 		scratch.Reset(width)
 		for c, tag := range tags {
 			col := &scratch.cols[c]
-			col.set = true
 			if tag == batchGenericTag {
 				col.kind, col.generic = KindNull, true
 			} else {

@@ -47,7 +47,7 @@ func sameRecords(t *testing.T, got, want []Record) {
 
 func TestBatchRoundTripAllKinds(t *testing.T) {
 	recs := richRecords()
-	buf := EncodeBatch(recs, nil)
+	buf := EncodeBatch(recs)
 	if buf[0] != batchFormatColumnar {
 		t.Fatalf("uniform records encoded with format 0x%02x, want columnar", buf[0])
 	}
@@ -64,7 +64,7 @@ func TestBatchRowWiseFallbackRagged(t *testing.T) {
 		{NewInt64(2)},
 		{NewInt64(3), NewString("c"), NewBool(true)},
 	}
-	buf := EncodeBatch(recs, nil)
+	buf := EncodeBatch(recs)
 	if buf[0] != batchFormatRowWise {
 		t.Fatalf("ragged records encoded with format 0x%02x, want row-wise", buf[0])
 	}
@@ -76,7 +76,7 @@ func TestBatchRowWiseFallbackRagged(t *testing.T) {
 }
 
 func TestBatchEmpty(t *testing.T) {
-	got, err := DecodeBatch(EncodeBatch(nil, nil), nil)
+	got, err := DecodeBatch(EncodeBatch(nil), nil)
 	if err != nil {
 		t.Fatalf("DecodeBatch(empty): %v", err)
 	}
@@ -85,98 +85,9 @@ func TestBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestBatchMemSizeMatchesRecords(t *testing.T) {
-	recs := richRecords()
-	b := NewBatch(len(recs[0]))
-	for _, r := range recs {
-		b.AppendRecord(r)
-	}
-	if want := RecordsMemSize(recs); b.MemSize() != want {
-		t.Fatalf("append-path MemSize = %d, want %d", b.MemSize(), want)
-	}
-
-	// The decode path must account in the same currency.
-	dec := NewBatch(0)
-	d := wire.NewDecoder(EncodeBatch(recs, nil))
-	if err := dec.UnmarshalWire(d); err != nil {
-		t.Fatalf("UnmarshalWire: %v", err)
-	}
-	if want := RecordsMemSize(dec.Records()); dec.MemSize() != want {
-		t.Fatalf("decode-path MemSize = %d, want %d", dec.MemSize(), want)
-	}
-}
-
-func TestBatchValueAndRecordAccessors(t *testing.T) {
-	recs := richRecords()
-	b := NewBatch(len(recs[0]))
-	for _, r := range recs {
-		b.AppendRecord(r)
-	}
-	if b.Rows() != len(recs) || b.Width() != len(recs[0]) {
-		t.Fatalf("Rows/Width = %d/%d, want %d/%d", b.Rows(), b.Width(), len(recs), len(recs[0]))
-	}
-	for i, r := range recs {
-		for j, v := range r {
-			if !b.Value(i, j).Equal(v) {
-				t.Fatalf("Value(%d,%d) = %v, want %v", i, j, b.Value(i, j), v)
-			}
-		}
-		if got := b.Record(i); !got[1].Equal(r[1]) {
-			t.Fatalf("Record(%d) = %v, want %v", i, got, r)
-		}
-	}
-	sameRecords(t, b.Records(), recs)
-}
-
-func TestBatchAppendFrom(t *testing.T) {
-	recs := richRecords()
-	src := NewBatch(len(recs[0]))
-	for _, r := range recs {
-		src.AppendRecord(r)
-	}
-	dst := NewBatch(src.Width())
-	for i := src.Rows() - 1; i >= 0; i-- {
-		dst.AppendFrom(src, i)
-	}
-	want := []Record{recs[2], recs[1], recs[0]}
-	sameRecords(t, dst.Records(), want)
-	if dst.MemSize() != RecordsMemSize(want) {
-		t.Fatalf("AppendFrom MemSize = %d, want %d", dst.MemSize(), RecordsMemSize(want))
-	}
-}
-
-func TestBatchResetReuse(t *testing.T) {
-	b := NewBatch(0)
-	recs := batch(64)
-	if !BatchFromRecords(b, recs) {
-		t.Fatal("uniform records reported ragged")
-	}
-	sameRecords(t, b.Records(), recs)
-	// Reuse with a different shape: mixed-kind column exercises the
-	// generic migration after a reset.
-	next := []Record{
-		{NewInt64(1), NewInt64(2)},
-		{NewInt64(3), NewString("now generic")},
-	}
-	if !BatchFromRecords(b, next) {
-		t.Fatal("uniform records reported ragged")
-	}
-	sameRecords(t, b.Records(), next)
-	if b.MemSize() != RecordsMemSize(next) {
-		t.Fatalf("reused batch MemSize = %d, want %d", b.MemSize(), RecordsMemSize(next))
-	}
-}
-
-func TestBatchFromRecordsRagged(t *testing.T) {
-	b := NewBatch(0)
-	if BatchFromRecords(b, []Record{{NewInt64(1)}, {NewInt64(1), NewInt64(2)}}) {
-		t.Fatal("ragged records reported uniform")
-	}
-}
-
 func TestDecodeBatchCorruption(t *testing.T) {
 	recs := richRecords()
-	buf := EncodeBatch(recs, nil)
+	buf := EncodeBatch(recs)
 
 	if _, err := DecodeBatch(buf[:len(buf)/2], nil); err == nil {
 		t.Fatal("truncated batch decoded without error")
@@ -236,15 +147,24 @@ func TestBatchPoolReuse(t *testing.T) {
 	if b.Width() != 3 {
 		t.Fatalf("pooled batch width %d, want 3", b.Width())
 	}
-	b.AppendRecord(Record{NewInt64(1), NewString("x"), NewBool(true)})
+	// A frame past stagedDecodeMinRows stages its columns in the
+	// scratch batch, leaving rows behind for the pool to reset.
+	recs := batch(stagedDecodeMinRows)
+	got, err := DecodeBatch(EncodeBatch(recs), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, got, recs)
+	if b.Rows() != len(recs) {
+		t.Fatalf("staged decode left %d rows in scratch, want %d", b.Rows(), len(recs))
+	}
 	p.Put(b)
 	again := p.Get(2)
 	if again != b {
 		t.Fatal("pool did not reuse the returned batch")
 	}
-	if again.Rows() != 0 || again.Width() != 2 || again.MemSize() != 0 {
-		t.Fatalf("reused batch not reset: rows=%d width=%d mem=%d",
-			again.Rows(), again.Width(), again.MemSize())
+	if again.Rows() != 0 || again.Width() != 2 {
+		t.Fatalf("reused batch not reset: rows=%d width=%d", again.Rows(), again.Width())
 	}
 	gets, hits := p.Stats()
 	if gets != 2 || hits != 1 {
@@ -257,7 +177,7 @@ func TestBatchScratchReuseAcrossDecodes(t *testing.T) {
 	scratch := NewBatch(0)
 	for round := 0; round < 3; round++ {
 		recs := batch(32)
-		got, err := DecodeBatch(EncodeBatch(recs, scratch), scratch)
+		got, err := DecodeBatch(EncodeBatch(recs), scratch)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -265,49 +185,55 @@ func TestBatchScratchReuseAcrossDecodes(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch drives the columnar frame decoder with arbitrary
-// bytes. Like FuzzDecodeRecords it guards every cross-node transfer
-// and every spill/checkpoint frame: it must never panic or
-// over-allocate on damaged input, and anything it accepts must survive
-// a re-encode round trip.
+// FuzzDecodeBatch drives the batch frame decoder with arbitrary bytes.
+// It guards every cross-node transfer, every spill/checkpoint frame and
+// every served result batch: it must never panic or over-allocate on
+// damaged input, and anything it accepts must survive a re-encode round
+// trip.
 func FuzzDecodeBatch(f *testing.F) {
-	f.Add(EncodeBatch(richRecords(), nil))
-	f.Add(EncodeBatch(nil, nil))
-	f.Add(EncodeBatch(batch(5), nil))
-	f.Add(EncodeBatch([]Record{{NewInt64(1)}, {NewInt64(1), Null}}, nil)) // row-wise
-	full := EncodeBatch(batch(7), nil)
+	f.Add(EncodeBatch(richRecords()))
+	f.Add(EncodeBatch(nil))
+	f.Add(EncodeBatch(batch(5)))
+	f.Add(EncodeBatch([]Record{{NewInt64(1)}, {NewInt64(1), Null}})) // row-wise
+	full := EncodeBatch(batch(7))
 	f.Add(full[:len(full)/2])
 	f.Add(full[:1])
 	f.Add([]byte{batchFormatColumnar, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0xff
 	f.Add(flipped)
-	pad := EncodeBatch([]Record{{Null, NewString(strings.Repeat("n", 40))}}, nil)
+	pad := EncodeBatch([]Record{{Null, NewString(strings.Repeat("n", 40))}})
 	f.Add(pad)
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeBatch(data, nil)
-		if err != nil {
-			return // rejection is always acceptable; panics are not
-		}
-		again, err := DecodeBatch(EncodeBatch(recs, nil), nil)
-		if err != nil {
-			t.Fatalf("re-decode of accepted input failed: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed record count: %d != %d", len(again), len(recs))
-		}
-		for i := range recs {
-			if len(again[i]) != len(recs[i]) {
-				t.Fatalf("record %d: field count %d != %d", i, len(again[i]), len(recs[i]))
-			}
-			for j := range recs[i] {
-				if !again[i][j].Equal(recs[i][j]) && !sameWire(again[i][j], recs[i][j]) {
-					t.Fatalf("record %d field %d: %v != %v", i, j, again[i][j], recs[i][j])
-				}
-			}
-		}
+		checkBatchRoundTrip(t, data, EncodeBatch)
 	})
+}
+
+// checkBatchRoundTrip decodes data and, if DecodeBatch accepts it,
+// checks that decode(encode(decode(x))) equals decode(x) field for
+// field. Rejection is always acceptable; panics are not.
+func checkBatchRoundTrip(t *testing.T, data []byte, encode func([]Record) []byte) {
+	recs, err := DecodeBatch(data, nil)
+	if err != nil {
+		return
+	}
+	again, err := DecodeBatch(encode(recs), nil)
+	if err != nil {
+		t.Fatalf("re-decode of accepted input failed: %v", err)
+	}
+	if len(again) != len(recs) {
+		t.Fatalf("round trip changed record count: %d != %d", len(again), len(recs))
+	}
+	for i := range recs {
+		if len(again[i]) != len(recs[i]) {
+			t.Fatalf("record %d: field count %d != %d", i, len(again[i]), len(recs[i]))
+		}
+		for j := range recs[i] {
+			if !again[i][j].Equal(recs[i][j]) && !sameWire(again[i][j], recs[i][j]) {
+				t.Fatalf("record %d field %d: %v != %v", i, j, again[i][j], recs[i][j])
+			}
+		}
+	}
 }
 
 // benchHashRecords builds the record shape the hash path shuffles for
@@ -372,10 +298,10 @@ func BenchmarkCombineIngest(b *testing.B) {
 	recs := benchHashRecords(60000)
 	for _, arm := range codecArms {
 		b.Run(arm.name, func(b *testing.B) {
-			enc, dec := NewBatch(0), NewBatch(0)
+			dec := NewBatch(0)
 			var frames [][]byte
 			for _, fr := range frameSlices(recs, arm.bs) {
-				frames = append(frames, EncodeBatch(fr, enc))
+				frames = append(frames, EncodeBatch(fr))
 			}
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -402,12 +328,12 @@ func BenchmarkBatchCodec(b *testing.B) {
 	recs := benchExtendedRecords(60000)
 	for _, arm := range codecArms {
 		b.Run(arm.name, func(b *testing.B) {
-			enc, dec := NewBatch(0), NewBatch(0)
+			dec := NewBatch(0)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				total := 0
 				for _, fr := range frameSlices(recs, arm.bs) {
-					out, err := DecodeBatch(EncodeBatch(fr, enc), dec)
+					out, err := DecodeBatch(EncodeBatch(fr), dec)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -8,9 +8,11 @@ import (
 	"fudj/internal/wire"
 )
 
-// The shuffle layer relies on DecodeRecords rejecting damaged payloads
-// so corrupted transfers can be detected and resent; these tests pin
-// the corruption-detection behaviour.
+// The shuffle layer relies on DecodeBatch rejecting damaged payloads so
+// corrupted transfers can be detected and resent. These tests pin that
+// corruption detection on the row-wise frame (format 0x02), the
+// fallback for ragged or zero-width rows; batch_test.go covers the
+// columnar frame.
 
 func batch(n int) []Record {
 	recs := make([]Record, n)
@@ -20,9 +22,20 @@ func batch(n int) []Record {
 	return recs
 }
 
+// rowWiseFrame encodes recs as a row-wise batch frame, whatever their
+// shape, so uniform records exercise the fallback decoder too.
+func rowWiseFrame(recs []Record) []byte {
+	e := wire.NewEncoder(64)
+	encodeRowWise(e, recs)
+	return e.Bytes()
+}
+
 func TestDecodeRecordsRoundTrip(t *testing.T) {
-	recs := batch(10)
-	out, err := DecodeRecords(EncodeRecords(recs))
+	buf := rowWiseFrame(batch(10))
+	if buf[0] != batchFormatRowWise {
+		t.Fatalf("frame format 0x%02x, want row-wise", buf[0])
+	}
+	out, err := DecodeBatch(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +50,11 @@ func TestDecodeRecordsRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRecordsTruncated(t *testing.T) {
-	buf := EncodeRecords(batch(10))
+	buf := rowWiseFrame(batch(10))
 	// Truncation at every possible point must error, never panic or
 	// silently succeed with fewer records.
 	for cut := 0; cut < len(buf); cut++ {
-		if _, err := DecodeRecords(buf[:cut]); err == nil {
+		if _, err := DecodeBatch(buf[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d of %d bytes decoded successfully", cut, len(buf))
 		}
 	}
@@ -50,8 +63,8 @@ func TestDecodeRecordsTruncated(t *testing.T) {
 func TestDecodeRecordsAbsurdCount(t *testing.T) {
 	// A corrupted header claiming ~2^63 records must be rejected before
 	// any allocation is attempted.
-	buf := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	_, err := DecodeRecords(buf)
+	buf := []byte{batchFormatRowWise, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	_, err := DecodeBatch(buf, nil)
 	if err == nil {
 		t.Fatal("absurd record count decoded successfully")
 	}
@@ -61,13 +74,12 @@ func TestDecodeRecordsAbsurdCount(t *testing.T) {
 }
 
 func TestDecodeRecordsFlippedByte(t *testing.T) {
-	recs := batch(8)
-	clean := EncodeRecords(recs)
+	clean := rowWiseFrame(batch(8))
 	rejected := 0
 	for i := range clean {
 		buf := append([]byte(nil), clean...)
 		buf[i] ^= 0xff
-		if _, err := DecodeRecords(buf); err != nil {
+		if _, err := DecodeBatch(buf, nil); err != nil {
 			rejected++
 		}
 	}
@@ -79,7 +91,7 @@ func TestDecodeRecordsFlippedByte(t *testing.T) {
 }
 
 func TestDecodeRecordsEmptyBatch(t *testing.T) {
-	out, err := DecodeRecords(EncodeRecords(nil))
+	out, err := DecodeBatch(rowWiseFrame(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

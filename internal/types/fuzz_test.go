@@ -10,12 +10,13 @@ import (
 	"fudj/internal/wire"
 )
 
-// FuzzDecodeRecords drives the shuffle payload decoder with arbitrary
-// bytes. The decoder guards every cross-node transfer, so the
-// contract is strict: it must never panic or over-allocate on damaged
-// input, and anything it accepts must survive a re-encode round trip.
+// FuzzDecodeRecords drives DecodeBatch with row-wise frames (format
+// 0x02), the fallback the encoder uses for ragged or zero-width rows.
+// The decoder guards every cross-node transfer, so the contract is
+// strict: it must never panic or over-allocate on damaged input, and
+// anything it accepts must survive a row-wise re-encode round trip.
 func FuzzDecodeRecords(f *testing.F) {
-	// Seed with the corrupt_test.go corpus shapes: valid batches of
+	// Seed with the corrupt_test.go corpus shapes: valid frames of
 	// every value kind, truncations, an absurd record count, and
 	// single-byte damage.
 	rich := []Record{
@@ -24,48 +25,20 @@ func FuzzDecodeRecords(f *testing.F) {
 		{NewInterval(interval.Interval{Start: 10, End: 20}),
 			NewPolygon(geo.NewPolygon([]geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}}))},
 	}
-	f.Add(EncodeRecords(rich))
-	f.Add(EncodeRecords(nil))
-	f.Add(EncodeRecords(batch(3)))
-	full := EncodeRecords(batch(5))
-	f.Add(full[:len(full)/2])                                           // truncated mid-record
-	f.Add(full[:1])                                                     // truncated mid-header
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // ~2^63 records claimed
+	f.Add(rowWiseFrame(rich))
+	f.Add(rowWiseFrame(nil))
+	f.Add(rowWiseFrame(batch(3)))
+	full := rowWiseFrame(batch(5))
+	f.Add(full[:len(full)/2])                                                               // truncated mid-record
+	f.Add(full[:1])                                                                         // truncated mid-header
+	f.Add([]byte{batchFormatRowWise, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // ~2^63 records claimed
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0xff
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeRecords(data)
-		if err != nil {
-			return // rejection is always acceptable; panics are not
-		}
-		// Accepted input must round-trip: decode(encode(decode(x)))
-		// equals decode(x) field for field.
-		again, err := DecodeRecords(EncodeRecords(recs))
-		if err != nil {
-			t.Fatalf("re-decode of accepted input failed: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed record count: %d != %d", len(again), len(recs))
-		}
-		for i := range recs {
-			if len(again[i]) != len(recs[i]) {
-				t.Fatalf("record %d: field count %d != %d", i, len(again[i]), len(recs[i]))
-			}
-			for j := range recs[i] {
-				if !again[i][j].Equal(recs[i][j]) && !sameWire(again[i][j], recs[i][j]) {
-					t.Fatalf("record %d field %d: %v != %v", i, j, again[i][j], recs[i][j])
-				}
-			}
-		}
+		checkBatchRoundTrip(t, data, rowWiseFrame)
 	})
-}
-
-// isNaN reports whether a value is a float NaN (the one value that is
-// never Equal to itself).
-func isNaN(v Value) bool {
-	return v.Kind() == KindFloat64 && v.Float64() != v.Float64()
 }
 
 // sameWire reports whether two values have identical wire encodings —
@@ -83,10 +56,10 @@ func sameWire(a, b Value) bool {
 // records: estimates must be positive and grow with payload size,
 // since the budget enforcement divides by them.
 func FuzzMemSize(f *testing.F) {
-	f.Add(EncodeRecords(batch(2)), 10)
-	f.Add(EncodeRecords(nil), 1000)
+	f.Add(EncodeBatch(batch(2)), 10)
+	f.Add(EncodeBatch(nil), 1000)
 	f.Fuzz(func(t *testing.T, data []byte, pad int) {
-		recs, err := DecodeRecords(data)
+		recs, err := DecodeBatch(data, nil)
 		if err != nil {
 			return
 		}

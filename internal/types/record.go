@@ -134,32 +134,3 @@ func DecodeRecord(d *wire.Decoder) (Record, error) {
 	}
 	return r, nil
 }
-
-// EncodeRecords encodes a batch of records into one buffer.
-func EncodeRecords(recs []Record) []byte {
-	e := wire.NewEncoder(len(recs) * 32)
-	e.Uvarint(uint64(len(recs)))
-	for _, r := range recs {
-		r.MarshalWire(e)
-	}
-	return e.Bytes()
-}
-
-// DecodeRecords decodes a batch encoded by EncodeRecords.
-func DecodeRecords(buf []byte) ([]Record, error) {
-	d := wire.NewDecoder(buf)
-	// Every record needs at least one byte, so UvarintCount rejects a
-	// corrupted header claiming more records than the buffer can hold
-	// before anything is allocated for them.
-	n, err := d.UvarintCount(1)
-	if err != nil {
-		return nil, fmt.Errorf("types: record batch count: %w", err)
-	}
-	out := make([]Record, n)
-	for i := range out {
-		if out[i], err = DecodeRecord(d); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -207,8 +207,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		{NewInt64(2), Null, NewBool(true)},
 		{},
 	}
-	buf := EncodeRecords(recs)
-	got, err := DecodeRecords(buf)
+	buf := EncodeBatch(recs)
+	got, err := DecodeBatch(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRecordClone(t *testing.T) {
 func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(i int64, fl float64, s string, b bool) bool {
 		r := Record{NewInt64(i), NewFloat64(fl), NewString(s), NewBool(b)}
-		got, err := DecodeRecords(EncodeRecords([]Record{r}))
+		got, err := DecodeBatch(EncodeBatch([]Record{r}), nil)
 		if err != nil || len(got) != 1 {
 			return false
 		}
