@@ -45,10 +45,10 @@ chaos:
 		./internal/joins/spatialjoin/ ./internal/joins/textsim/ ./internal/joins/intervaljoin/
 
 # chaos-recovery runs the checkpointed-execution matrix under the race
-# detector: kill-at-barrier over both barriers and every example join,
-# torn-write and checkpoint-corruption healing, checkpoint reopen
-# crash-consistency, and the temp-file sweep — every run asserting
-# multiset-identical results against a fault-free baseline.
+# detector: kill-at-barrier over both barriers, every example join and
+# smart theta, torn-write and checkpoint-corruption healing, checkpoint
+# reopen crash-consistency, and the temp-file sweep — every run
+# asserting multiset-identical results against a fault-free baseline.
 chaos-recovery:
 	$(GO) test -race -run 'CheckpointRecovery|KillAtBarrier|TornWrite|CheckpointCorrupt|Recovery|BarrierMatrix|Checkpoint' \
 		./internal/cluster/ ./internal/storage/ ./internal/engine/ \
@@ -61,7 +61,7 @@ chaos-recovery:
 # timeout classification, drain semantics, and the concurrent-Execute
 # safety audit.
 stress:
-	$(GO) test -race -run 'Stress|Sched|Admission|Lease|Drain|Timeout|Priority|ConcurrentExecute|SmartThetaConcurrent|SmartThetaBarrierLoss' \
+	$(GO) test -race -run 'Stress|Sched|Admission|Lease|Drain|Timeout|Priority|ConcurrentExecute|SmartThetaConcurrent' \
 		./internal/sched/ ./internal/engine/ ./internal/bench/
 
 # serve-chaos runs the network serving suite under the race detector:

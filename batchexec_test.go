@@ -48,17 +48,20 @@ func TestBatchedExecutionIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chaos + a tiny budget: crashes re-run tasks, corruption re-sends
-	// batch frames, and the budget forces COMBINE spills — every
+	// batch frames, the budget forces COMBINE spills, and the armed
+	// barrier kill writes and restores checkpoint frames — every
 	// batch-framed surface is exercised on both arms.
 	db.MustConfigure(
-		fudj.WithFaults(&fudj.FaultConfig{Seed: 7, CrashProb: 0.15, CorruptProb: 0.05}),
+		fudj.WithFaults(&fudj.FaultConfig{
+			Seed: 7, CrashProb: 0.15, CorruptProb: 0.05,
+			BarrierKills: []fudj.BarrierKill{{Barrier: fudj.BarrierShuffle, Node: 1}},
+		}),
 		fudj.WithRetryPolicy(fudj.RetryPolicy{
 			MaxAttempts: 8,
 			BaseBackoff: 50 * time.Microsecond,
 			MaxBackoff:  time.Millisecond,
 		}),
 		fudj.WithMemoryBudget(48<<10),
-		fudj.WithCheckpoints(),
 	)
 	for _, q := range batchChaosQueries {
 		t.Run(q.name, func(t *testing.T) {

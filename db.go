@@ -88,7 +88,9 @@ type RetryPolicy = cluster.RetryPolicy
 // Barrier names a durable phase boundary in the FUDJ pipeline:
 // BarrierPlan (after SUMMARIZE broadcasts the plan) or BarrierShuffle
 // (after PARTITION delivers every record). Target one with
-// FaultConfig.BarrierKills.
+// FaultConfig.BarrierKills. A query whose faults can kill at a barrier
+// checkpoints both barriers and recovers the lost node's partitions in
+// place; no option turns this on or off.
 type Barrier = cluster.Barrier
 
 // Durable phase barriers.
@@ -99,10 +101,6 @@ const (
 
 // BarrierKill targets a kill-at-barrier fault at one node.
 type BarrierKill = cluster.BarrierKill
-
-// BarrierLossError reports node losses at a phase barrier when no
-// checkpoint store is attached; it is retryable (abort-and-rerun).
-type BarrierLossError = cluster.BarrierLossError
 
 // FaultError is an injected infrastructure failure (retryable).
 type FaultError = cluster.FaultError
@@ -188,13 +186,9 @@ func WithMemoryBudget(bytes int64) Option { return engine.WithMemoryBudget(bytes
 // (Batches, BatchRows, RowsPerBatch(), PoolReuse()).
 func WithBatchSize(n int) Option { return engine.WithBatchSize(n) }
 
-// WithCheckpoints enables durable phase barriers: the broadcast plan
-// and every partition's post-shuffle input are checkpointed, so a
-// node killed at a barrier recovers in place instead of forcing the
-// whole join step to re-run.
-func WithCheckpoints() Option { return engine.WithCheckpoints() }
-
 // WithFaults arms deterministic fault injection; nil disables it.
+// Arming a barrier kill (BarrierKills or BarrierKillProb) also arms
+// checkpointed barrier recovery for each query.
 func WithFaults(cfg *FaultConfig) Option { return engine.WithFaults(cfg) }
 
 // WithRetryPolicy overrides task retry, backoff, and speculation.

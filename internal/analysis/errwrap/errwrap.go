@@ -3,7 +3,7 @@
 // must stay inspectable. cluster.IsRetryable, errors.Is, and errors.As
 // all walk the Unwrap chain; formatting an error with %v or %s inside
 // fmt.Errorf flattens it to text and silently strips its
-// classification (Retryable, DeadlineExceeded, BarrierLossError,
+// classification (Retryable, DeadlineExceeded, FaultError,
 // AdmissionError, ...). The analyzer flags every fmt.Errorf call that
 // formats an error-typed argument with any verb other than %w; such
 // sites must either switch the verb to %w or return a structured error

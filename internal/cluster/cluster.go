@@ -169,10 +169,6 @@ func (c *Cluster) SetRetryPolicy(p RetryPolicy) {
 	c.retry = p
 }
 
-// RetryPolicy returns the cluster's task retry policy, so recovery
-// wrappers outside the package share its attempt budget.
-func (c *Cluster) RetryPolicy() RetryPolicy { return c.retry }
-
 // SetContext attaches a query context: cancellation or deadline expiry
 // aborts in-flight partition tasks at their next checkpoint (injected
 // delays and backoff sleeps abort immediately).
@@ -406,36 +402,21 @@ func runAttempt[T any](c *Cluster, ctx context.Context, epoch int64, part, attem
 // partition. Records crossing a node boundary are serialized, counted,
 // and deserialized; intra-node moves are free, as on a real cluster.
 func (c *Cluster) Exchange(data Data, route func(part int, r types.Record) int) (Data, error) {
-	p := c.Partitions()
-	if len(data) != p {
-		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
-	}
-	// outbox[src][dst] collects records by destination.
-	outbox := make([][][]types.Record, p)
-	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
-		box := make([][]types.Record, p)
-		for _, r := range in {
-			dst := route(part, r)
-			if dst < 0 || dst >= p {
-				return nil, fmt.Errorf("cluster: route produced partition %d of %d", dst, p)
-			}
-			box[dst] = append(box[dst], r)
-		}
-		outbox[part] = box
-		return nil, nil
+	return c.ExchangeMulti(data, func(src, _ int, r types.Record, dst []int) []int {
+		return append(dst, route(src, r))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return c.deliver(outbox)
 }
 
 // ExchangeMulti repartitions data where each record may be sent to
-// several destination partitions (multicast). It is the primitive
-// behind the balanced theta operator: records travel only to the
-// partitions that own a bucket pair needing them, instead of a full
-// broadcast. An empty destination list drops the record.
-func (c *Cluster) ExchangeMulti(data Data, route func(part int, r types.Record) []int) (Data, error) {
+// several destination partitions (multicast). route appends the
+// destinations of record i of source partition src to dst, a scratch
+// slice reused per source, so routing allocates nothing per record.
+// The single-destination exchanges are built on it, and the FUDJ
+// layouts call it with their own routes: the balanced theta operator
+// multicasts records only to the partitions that own a bucket pair
+// needing them instead of a full broadcast. An empty destination list
+// drops the record.
+func (c *Cluster) ExchangeMulti(data Data, route func(src, i int, r types.Record, dst []int) []int) (Data, error) {
 	p := c.Partitions()
 	if len(data) != p {
 		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
@@ -443,8 +424,10 @@ func (c *Cluster) ExchangeMulti(data Data, route func(part int, r types.Record) 
 	outbox := make([][][]types.Record, p)
 	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
 		box := make([][]types.Record, p)
-		for _, r := range in {
-			for _, dst := range route(part, r) {
+		var dsts []int
+		for i, r := range in {
+			dsts = route(part, i, r, dsts[:0])
+			for _, dst := range dsts {
 				if dst < 0 || dst >= p {
 					return nil, fmt.Errorf("cluster: route produced partition %d of %d", dst, p)
 				}
@@ -610,30 +593,16 @@ func (c *Cluster) ExchangeHash(data Data, key func(r types.Record) uint64) (Data
 }
 
 // ExchangeRandom repartitions round-robin (the "random partitioning"
-// AsterixDB applies to one side of a theta join, §VII-C). Each source
-// partition keeps its own counter, offset by its partition id so the
-// sources' streams interleave evenly — no global mutex serializing all
-// routing, and the first record of partition 0 lands on partition 0
-// instead of skipping it.
+// AsterixDB applies to one side of a theta join, §VII-C). Record i of
+// source partition src goes to (src+i) mod P: a pure function of the
+// record's position, so the sources' streams interleave evenly with no
+// shared counter, and the first record of partition 0 lands on
+// partition 0 instead of skipping it.
 func (c *Cluster) ExchangeRandom(data Data) (Data, error) {
 	p := c.Partitions()
-	if len(data) != p {
-		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
-	}
-	outbox := make([][][]types.Record, p)
-	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
-		box := make([][]types.Record, p)
-		for i, r := range in {
-			dst := (part + i) % p
-			box[dst] = append(box[dst], r)
-		}
-		outbox[part] = box
-		return nil, nil
+	return c.ExchangeMulti(data, func(src, i int, _ types.Record, dst []int) []int {
+		return append(dst, (src+i)%p)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return c.deliver(outbox)
 }
 
 // Broadcast accounts for shipping one opaque blob (e.g. an encoded

@@ -3,10 +3,9 @@
 // partitioning plan is broadcast) and after PARTITION (every record
 // sits in its destination partition's bucket input) — and a node lost
 // *at* a barrier only needs the work downstream of it replayed. The
-// manager classifies each loss by the barrier it occurred at, reloads
-// checkpointed state for the lost partitions when a checkpoint store
-// is attached, and reports a retryable BarrierLossError otherwise so
-// the caller can fall back to abort-and-rerun of the whole join step.
+// manager fires injected barrier kills and reloads the lost
+// partitions' checkpointed state. The engine attaches one exactly when
+// a query's fault config can kill at a barrier.
 //
 // Corruption healing: a checkpoint that fails its integrity check on
 // reopen (torn write, bit flip) is discarded and the partition's state
@@ -50,39 +49,8 @@ func (b Barrier) String() string {
 	return fmt.Sprintf("barrier(%d)", int(b))
 }
 
-// Class reports the failure class a loss at this barrier falls into:
-// pre-shuffle losses replay SUMMARIZE+PARTITION work, post-shuffle
-// losses replay only COMBINE work.
-func (b Barrier) Class() string {
-	if b >= BarrierShuffle {
-		return "post-shuffle"
-	}
-	return "pre-shuffle"
-}
-
-// BarrierLossError reports nodes lost at a phase barrier when no
-// checkpoint store is attached to recover them in place. It is
-// retryable: the caller re-runs the join step from the top
-// (abort-and-rerun), which is exactly the waste checkpointing avoids.
-type BarrierLossError struct {
-	Barrier Barrier
-	Nodes   []int
-	Parts   []int
-}
-
-// Error implements the error interface.
-func (e *BarrierLossError) Error() string {
-	return fmt.Sprintf("cluster: %d node(s) %v lost at %s barrier (%s), partitions %v",
-		len(e.Nodes), e.Nodes, e.Barrier, e.Barrier.Class(), e.Parts)
-}
-
-// Retryable marks the loss as transient: rerunning the step succeeds.
-func (e *BarrierLossError) Retryable() bool { return true }
-
 // RecoveryManager tracks per-partition phase completion for one query
-// and drives barrier-scoped recovery. A nil checkpoint store disables
-// durability: barriers still fire injected kills, but losses surface
-// as BarrierLossError instead of being healed in place.
+// and drives barrier-scoped recovery from its checkpoint store.
 type RecoveryManager struct {
 	c     *Cluster
 	store *storage.CheckpointStore
@@ -91,21 +59,15 @@ type RecoveryManager struct {
 	done map[string]map[int]bool // phase name -> completed partitions
 }
 
-// NewRecoveryManager attaches a recovery manager to the cluster.
-// store may be nil (checkpointing disabled).
+// NewRecoveryManager attaches a recovery manager backed by store to
+// the cluster.
 func (c *Cluster) NewRecoveryManager(store *storage.CheckpointStore) *RecoveryManager {
 	return &RecoveryManager{c: c, store: store, done: make(map[string]map[int]bool)}
 }
 
-// Enabled reports whether a checkpoint store is attached.
-func (rm *RecoveryManager) Enabled() bool { return rm != nil && rm.store != nil }
-
 // MarkDone records that phase completed for partition part. Marking is
 // idempotent, so retried task attempts are safe.
 func (rm *RecoveryManager) MarkDone(phase string, part int) {
-	if rm == nil {
-		return
-	}
 	rm.mu.Lock()
 	m := rm.done[phase]
 	if m == nil {
@@ -118,9 +80,6 @@ func (rm *RecoveryManager) MarkDone(phase string, part int) {
 
 // DoneCount returns how many partitions completed the phase.
 func (rm *RecoveryManager) DoneCount(phase string) int {
-	if rm == nil {
-		return 0
-	}
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	return len(rm.done[phase])
@@ -128,9 +87,6 @@ func (rm *RecoveryManager) DoneCount(phase string) int {
 
 // PhaseDone reports whether the phase completed for partition part.
 func (rm *RecoveryManager) PhaseDone(phase string, part int) bool {
-	if rm == nil {
-		return false
-	}
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	return rm.done[phase][part]
@@ -138,11 +94,8 @@ func (rm *RecoveryManager) PhaseDone(phase string, part int) bool {
 
 // CheckpointBlob persists one opaque blob (e.g. the encoded PPlan)
 // under key, charging checkpoint.bytes and then applying any injected
-// damage to the published file. A nil/disabled manager is a no-op.
+// damage to the published file.
 func (rm *RecoveryManager) CheckpointBlob(key string, blob []byte) error {
-	if !rm.Enabled() {
-		return nil
-	}
 	n, err := rm.store.SaveBlob(key, blob)
 	if err != nil {
 		return err
@@ -153,9 +106,6 @@ func (rm *RecoveryManager) CheckpointBlob(key string, blob []byte) error {
 
 // CheckpointRecords persists one partition's record batch under key.
 func (rm *RecoveryManager) CheckpointRecords(key string, recs []types.Record) error {
-	if !rm.Enabled() {
-		return nil
-	}
 	n, err := rm.store.SaveRecords(key, recs)
 	if err != nil {
 		return err
@@ -209,14 +159,7 @@ func (rm *RecoveryManager) applyDamage(key string) error {
 // the trace is on, the crossing emits a "barrier <name>" span carrying
 // the loss so recovery shows up in the query tree.
 func (rm *RecoveryManager) CrossBarrier(b Barrier) (lostParts []int) {
-	if rm == nil {
-		return nil
-	}
-	fi := rm.c.faults
-	if fi == nil || !fi.hasBarrierFaults() {
-		return nil
-	}
-	nodes := fi.killAtBarrier(rm.c.nextEpoch(), b, rm.c.cfg.Nodes)
+	nodes := rm.c.faults.killAtBarrier(rm.c.nextEpoch(), b, rm.c.cfg.Nodes)
 	if len(nodes) == 0 {
 		return nil
 	}
@@ -234,21 +177,6 @@ func (rm *RecoveryManager) CrossBarrier(b Barrier) (lostParts []int) {
 	return lostParts
 }
 
-// LossError builds the abort-and-rerun error for partitions lost at b
-// with no checkpoint store to heal them.
-func (rm *RecoveryManager) LossError(b Barrier, lostParts []int) error {
-	nodes := make(map[int]bool)
-	for _, p := range lostParts {
-		nodes[rm.c.NodeOf(p)] = true
-	}
-	ns := make([]int, 0, len(nodes))
-	for n := range nodes {
-		ns = append(ns, n)
-	}
-	sort.Ints(ns)
-	return &BarrierLossError{Barrier: b, Nodes: ns, Parts: lostParts}
-}
-
 // RecoverRecords restores one lost partition's record batch: from the
 // checkpoint under key when it reopens cleanly, or by calling
 // recompute when the checkpoint is missing or fails its integrity
@@ -256,9 +184,6 @@ func (rm *RecoveryManager) LossError(b Barrier, lostParts []int) error {
 // the budget-tracked memory gauge so recovery registers in PeakMemory.
 // Each recovery emits a "recover" span under the current phase span.
 func (rm *RecoveryManager) RecoverRecords(key string, part int, recompute func() ([]types.Record, error)) ([]types.Record, error) {
-	if !rm.Enabled() {
-		return nil, fmt.Errorf("cluster: recover %s: no checkpoint store attached", key)
-	}
 	sp := rm.c.span.Child("recover")
 	defer sp.End()
 	sp.Add("part", int64(part))
@@ -283,9 +208,6 @@ func (rm *RecoveryManager) RecoverRecords(key string, part int, recompute func()
 // checkpoint is missing or corrupt. Every lost partition counts as
 // recovered-from-checkpoint when the reload succeeds.
 func (rm *RecoveryManager) RecoverBlob(key string, parts []int, fallback func() ([]byte, error)) ([]byte, error) {
-	if !rm.Enabled() {
-		return nil, fmt.Errorf("cluster: recover %s: no checkpoint store attached", key)
-	}
 	sp := rm.c.span.Child("recover")
 	defer sp.End()
 	sp.Add("parts", int64(len(parts)))
@@ -324,8 +246,5 @@ func (rm *RecoveryManager) discardDamaged(key string, err error) error {
 // Sweep removes the checkpoint directory; called at query teardown so
 // no checkpoint files outlive their query.
 func (rm *RecoveryManager) Sweep() error {
-	if rm == nil || rm.store == nil {
-		return nil
-	}
 	return rm.store.Sweep()
 }

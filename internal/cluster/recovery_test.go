@@ -31,7 +31,7 @@ func TestKillAtBarrierTargetedFiresOnce(t *testing.T) {
 	c.SetFaults(NewFaultInjector(FaultConfig{
 		BarrierKills: []BarrierKill{{Barrier: BarrierShuffle, Node: 1}},
 	}))
-	rm := c.NewRecoveryManager(nil)
+	rm := c.NewRecoveryManager(testStore(t))
 
 	if lost := rm.CrossBarrier(BarrierPlan); lost != nil {
 		t.Errorf("plan barrier lost %v, want none (kill targets shuffle)", lost)
@@ -53,7 +53,7 @@ func TestKillAtBarrierProbabilisticDeterminism(t *testing.T) {
 	run := func() [][]int {
 		c := New(Config{Nodes: 4, CoresPerNode: 2})
 		c.SetFaults(NewFaultInjector(FaultConfig{Seed: 7, BarrierKillProb: 0.5}))
-		rm := c.NewRecoveryManager(nil)
+		rm := c.NewRecoveryManager(testStore(t))
 		var out [][]int
 		for i := 0; i < 6; i++ {
 			out = append(out, rm.CrossBarrier(BarrierShuffle))
@@ -161,31 +161,9 @@ func TestRecoverMissingCheckpointRecomputes(t *testing.T) {
 	}
 }
 
-func TestBarrierLossErrorRetryable(t *testing.T) {
-	c := New(Config{Nodes: 3, CoresPerNode: 2})
-	rm := c.NewRecoveryManager(nil)
-	err := rm.LossError(BarrierShuffle, []int{2, 3})
-	if !IsRetryable(err) {
-		t.Error("BarrierLossError must be retryable")
-	}
-	ble, ok := err.(*BarrierLossError)
-	if !ok {
-		t.Fatalf("LossError returned %T", err)
-	}
-	if len(ble.Nodes) != 1 || ble.Nodes[0] != 1 {
-		t.Errorf("Nodes = %v, want [1]", ble.Nodes)
-	}
-	if ble.Barrier.Class() != "post-shuffle" {
-		t.Errorf("Class = %q, want post-shuffle", ble.Barrier.Class())
-	}
-	if BarrierPlan.Class() != "pre-shuffle" {
-		t.Errorf("plan Class = %q, want pre-shuffle", BarrierPlan.Class())
-	}
-}
-
 func TestMarkDoneTracking(t *testing.T) {
 	c := New(Config{Nodes: 2, CoresPerNode: 2})
-	rm := c.NewRecoveryManager(nil)
+	rm := c.NewRecoveryManager(testStore(t))
 	rm.MarkDone("summarize", 0)
 	rm.MarkDone("summarize", 0) // idempotent
 	rm.MarkDone("summarize", 2)

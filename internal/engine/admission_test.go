@@ -230,10 +230,11 @@ func TestQueryTimeoutStructuredError(t *testing.T) {
 // TestDrainGraceful pins the clean-drain path: in-flight queries
 // finish, late arrivals shed with a NON-retryable draining error, and
 // the TMPDIR holds no spill or checkpoint remains once Drain returns.
+// The armed barrier kill gives every query a checkpoint store to sweep.
 func TestDrainGraceful(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	db := newTestDB(t, WithMemoryBudget(64<<20), WithCheckpoints())
+	db := newTestDB(t, WithMemoryBudget(64<<20), WithFaults(barrierKillConfig(cluster.BarrierShuffle, 1)))
 	release := make(chan struct{})
 	blockingBuiltin(db, release)
 
@@ -341,9 +342,7 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 		defer mutators.Done()
 		// Flip settings that never change query answers: memory budget,
 		// smart theta (these queries are equality-bucketed), and a
-		// zero-probability fault config. Checkpoints have no off switch,
-		// so they are re-enabled on every other round: each write still
-		// races the readers.
+		// zero-probability fault config.
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -351,9 +350,6 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 			default:
 			}
 			db.MustConfigure(WithMemoryBudget(int64(i%2) * (64 << 20)))
-			if i%2 == 0 {
-				db.MustConfigure(WithCheckpoints())
-			}
 			db.MustConfigure(WithSmartTheta(i%2 == 0))
 			if i%2 == 0 {
 				db.MustConfigure(WithFaults(&cluster.FaultConfig{Seed: int64(i)}))

@@ -21,16 +21,21 @@ import (
 //     wall clock or the global math/rand generator.
 //   - udfcatch and ctxplumb keep failure and cancellation behavior
 //     reproducible on the same paths.
+//   - the smart-theta query backs the stateless split routing of the
+//     balanced theta operator (engine/theta.go): a split hot bucket's
+//     records are dealt by position, not by a shared counter racing
+//     across source partitions.
 //
 // Go randomizes map iteration per map instance, so a reintroduced
 // unsorted map range on any of these paths fails this test with high
 // probability across repeated runs.
 func TestByteIdenticalReexecution(t *testing.T) {
 	queries := []struct {
-		name    string
-		mode    JoinMode
-		sql     string
-		backing string
+		name       string
+		mode       JoinMode
+		smartTheta bool
+		sql        string
+		backing    string
 	}{
 		{
 			name: "groupby",
@@ -63,15 +68,24 @@ func TestByteIdenticalReexecution(t *testing.T) {
 			      AND text_similarity_join(a.review, b.review, 0.8)`,
 			backing: "maporder: builtin/textsim.go rank iteration order",
 		},
+		{
+			name:       "smart-theta-interval",
+			mode:       ModeFUDJ,
+			smartTheta: true,
+			sql: `SELECT a.id, b.id FROM rides a, rides b
+			      WHERE a.vendor = 1 AND b.vendor = 2
+			      AND overlapping_interval(a.ride_interval, b.ride_interval, 1)`,
+			backing: "stateless split routing: theta.go deals a split bucket's records by (source, position)",
+		},
 	}
 
-	run := func(t *testing.T, mode JoinMode, sql string) []byte {
+	run := func(t *testing.T, mode JoinMode, smartTheta bool, sql string) []byte {
 		// A fresh database per execution: fresh map instances (fresh
 		// iteration seeds), fresh cluster state.
 		db := newTestDB(t)
 		db.RegisterBuiltinJoin("overlapping_interval", BuiltinJoinFunc(builtin.IntervalOIP))
 		db.RegisterBuiltinJoin("text_similarity_join", BuiltinJoinFunc(builtin.TextSimilarity))
-		db.MustConfigure(WithJoinMode(mode))
+		db.MustConfigure(WithJoinMode(mode), WithSmartTheta(smartTheta))
 		res := mustQuery(t, db, sql)
 		if len(res.Rows) == 0 {
 			t.Fatalf("query produced no rows: %s", sql)
@@ -81,8 +95,8 @@ func TestByteIdenticalReexecution(t *testing.T) {
 
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			first := run(t, q.mode, q.sql)
-			second := run(t, q.mode, q.sql)
+			first := run(t, q.mode, q.smartTheta, q.sql)
+			second := run(t, q.mode, q.smartTheta, q.sql)
 			if !bytes.Equal(first, second) {
 				t.Errorf("re-execution produced different bytes (%d vs %d); rule under test: %s",
 					len(first), len(second), q.backing)

@@ -39,7 +39,6 @@ func TestDrainRacesCheckpointRecovery(t *testing.T) {
 	db := newTestDB(t)
 	base := mustQuery(t, db, chaosQueries[0].sql)
 
-	db.MustConfigure(WithCheckpoints())
 	cfg := barrierKillConfig(cluster.BarrierShuffle, 1)
 	cfg.StragglerNodes = []int{0}
 	cfg.StragglerDelay = 30 * time.Millisecond
@@ -127,7 +126,6 @@ func TestDrainCancelsStuckRecovery(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	db := newTestDB(t)
-	db.MustConfigure(WithCheckpoints())
 	cfg := barrierKillConfig(cluster.BarrierShuffle, 1)
 	cfg.StragglerNodes = []int{0, 1}
 	cfg.StragglerDelay = 2 * time.Second

@@ -63,7 +63,6 @@ type Database struct {
 	faultCfg   *cluster.FaultConfig
 	retryPol   *cluster.RetryPolicy
 	memBudget  int64
-	ckpt       bool
 	batchSize  int // shuffle/spill frame row cap; 0 = cluster default
 }
 
@@ -169,7 +168,6 @@ type execSettings struct {
 	faultCfg   *cluster.FaultConfig
 	retryPol   *cluster.RetryPolicy
 	memBudget  int64
-	ckpt       bool
 	batchSize  int
 }
 
@@ -195,7 +193,6 @@ func (db *Database) settings() execSettings {
 		faultCfg:   fc,
 		retryPol:   rp,
 		memBudget:  db.memBudget,
-		ckpt:       db.ckpt,
 		batchSize:  db.batchSize,
 	}
 }

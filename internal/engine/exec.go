@@ -66,22 +66,20 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		defer cleanup()
 	}
 
-	// Checkpointed execution: with WithCheckpoints, a per-query
-	// checkpoint store makes the FUDJ phase barriers durable; the store
-	// is swept at teardown so no checkpoint file outlives its query.
-	// Without checkpoints, a recovery manager is still attached when
-	// kill-at-barrier faults are armed, so barrier losses surface as
-	// retryable step aborts (the abort-and-rerun baseline).
+	// Checkpointed execution: a node can only be lost at a phase
+	// barrier through an injected barrier kill, so the recovery manager
+	// and its per-query checkpoint store are attached exactly when the
+	// fault config arms one. The store is swept at teardown so no
+	// checkpoint file outlives its query; fault-free queries write no
+	// checkpoints and cross no barriers.
 	var rm *cluster.RecoveryManager
-	if set.ckpt {
+	if fc := set.faultCfg; fc != nil && (fc.BarrierKillProb > 0 || len(fc.BarrierKills) > 0) {
 		store, err := storage.NewCheckpointStore()
 		if err != nil {
 			return nil, err
 		}
 		rm = clus.NewRecoveryManager(store)
 		defer rm.Sweep()
-	} else if set.faultCfg != nil && (set.faultCfg.BarrierKillProb > 0 || len(set.faultCfg.BarrierKills) > 0) {
-		rm = clus.NewRecoveryManager(nil)
 	}
 
 	// Scans with pushed-down filters.
@@ -128,7 +126,11 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		var err error
 		switch step.kind {
 		case joinFUDJ:
-			cur, err = db.runFUDJRecoverable(ctx, clus, counters, mem, rm, i, jsp, step.fudj, cur, curSchema, right, rightSchema, outSchema)
+			var rcv *stepRecovery
+			if rm != nil {
+				rcv = &stepRecovery{rm: rm, step: i}
+			}
+			cur, err = db.runFUDJ(ctx, clus, counters, mem, rcv, jsp, step.fudj, cur, curSchema, right, rightSchema, outSchema)
 		case joinBuiltin:
 			cur, err = db.runBuiltinJoin(clus, counters, step.fudj, cur, curSchema, right, rightSchema)
 		case joinHash:

@@ -25,10 +25,10 @@ import (
 // columns, [bucket_id, key, fields...], so verify never recomputes key
 // expressions per candidate pair. Under DedupElimination a third
 // leading column carries a globally unique row id.
-// When rec is non-nil, the step runs with durable phase barriers: the
+// When rcv is non-nil, the step runs with durable phase barriers: the
 // broadcast plan and every partition's post-shuffle input are
 // checkpointed, and node deaths injected at a barrier recover from
-// those checkpoints (see recover.go) instead of aborting the step.
+// those checkpoints in place (see recover.go).
 func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, rcv *stepRecovery, jsp *trace.Span, f *fudjStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema, outSchema *types.Schema) (cluster.Data, error) {
@@ -294,12 +294,12 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if desc.DefaultMatch {
 		// Single-join: hash partition both sides on bucket id, then a
 		// local hash join per partition (the optimizer's hash-join path).
-		bucketHash := func(r types.Record) uint64 { return r[0].Hash() }
-		lShuf, err := clus.ExchangeHash(lAssigned, bucketHash)
+		bucketRoute := hashRoute(clus.Partitions(), func(r types.Record) uint64 { return r[0].Hash() })
+		lShuf, err := clus.ExchangeMulti(lAssigned, bucketRoute)
 		if err != nil {
 			return nil, err
 		}
-		rShuf, err := clus.ExchangeHash(rAssigned, bucketHash)
+		rShuf, err := clus.ExchangeMulti(rAssigned, bucketRoute)
 		if err != nil {
 			return nil, err
 		}
@@ -308,12 +308,8 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// them from the surviving pre-shuffle data) and re-runs only
 		// those partitions' COMBINE.
 		err = shuffleBarrier(rcv,
-			shuffleSide{name: "left", data: lShuf, recompute: func(part int) []types.Record {
-				return recomputeHashShuffle(lAssigned, bucketHash, part)
-			}},
-			shuffleSide{name: "right", data: rShuf, recompute: func(part int) []types.Record {
-				return recomputeHashShuffle(rAssigned, bucketHash, part)
-			}})
+			shuffleSide{name: "left", data: lShuf, pre: lAssigned, route: bucketRoute},
+			shuffleSide{name: "right", data: rShuf, pre: rAssigned, route: bucketRoute})
 		if err != nil {
 			return nil, err
 		}
@@ -349,13 +345,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// counts, enumerates the bucket pairs MATCH accepts, assigns
 		// each pair to a partition by greedy cost balancing, and records
 		// travel only to partitions owning pairs that need them.
-		//
-		// No durable barrier here: the operator's multicast routing
-		// carries mutable round-robin state, so a lost partition's
-		// input cannot be recomputed independently of the others; a
-		// barrier loss in this mode would fall back to abort-and-rerun
-		// anyway, which the per-task retry already provides.
-		combined, err = db.runSmartTheta(clus, mem, join, combineBuckets, lAssigned, rAssigned)
+		combined, err = db.runSmartTheta(clus, mem, rcv, join, combineBuckets, lAssigned, rAssigned)
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +358,8 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		if err != nil {
 			return nil, err
 		}
-		rRand, err := clus.ExchangeRandom(rAssigned)
+		probeRoute := randomRoute(clus.Partitions())
+		rRand, err := clus.ExchangeMulti(rAssigned, probeRoute)
 		if err != nil {
 			return nil, err
 		}
@@ -376,12 +367,8 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// side and the randomly partitioned probe side are both durable
 		// per partition.
 		err = shuffleBarrier(rcv,
-			shuffleSide{name: "left", data: lRepl, recompute: func(int) []types.Record {
-				return recomputeReplicate(lAssigned)
-			}},
-			shuffleSide{name: "right", data: rRand, recompute: func(part int) []types.Record {
-				return recomputeRandomShuffle(rAssigned, part)
-			}})
+			shuffleSide{name: "left", data: lRepl, pre: lAssigned, route: replicateRoute(clus.Partitions())},
+			shuffleSide{name: "right", data: rRand, pre: rAssigned, route: probeRoute})
 		if err != nil {
 			return nil, err
 		}

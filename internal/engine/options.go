@@ -145,24 +145,11 @@ func WithBatchSize(n int) Option {
 	})
 }
 
-// WithCheckpoints enables durable phase barriers: every query
-// checkpoints the broadcast plan after SUMMARIZE and each partition's
-// post-shuffle bucket inputs after PARTITION, so a node lost at a
-// barrier recovers in place — surviving partitions never re-run
-// SUMMARIZE, and a damaged checkpoint is detected by checksum and
-// healed by recomputation. Checkpoint files live in a per-query temp
-// directory swept at teardown. Off by default: fault-free execution is
-// byte-for-byte unchanged either way.
-func WithCheckpoints() Option {
-	return optionFunc(func(db *Database) error {
-		db.ckpt = true
-		return nil
-	})
-}
-
 // WithFaults arms deterministic fault injection: every query execution
 // builds a fresh injector from this configuration, so the same query
 // sees the same faults on every run. A nil config disables injection.
+// A config that can kill at a barrier also attaches checkpointed
+// barrier recovery to each query (see run).
 func WithFaults(cfg *cluster.FaultConfig) Option {
 	return optionFunc(func(db *Database) error {
 		if cfg == nil {

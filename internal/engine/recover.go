@@ -1,31 +1,26 @@
 // Checkpointed FUDJ execution: durable phase barriers and partial
 // recovery. runFUDJ's pipeline crosses two barriers — after SUMMARIZE
 // (the partitioning plan is broadcast) and after PARTITION (every
-// record sits in its destination partition's post-shuffle input). With
-// checkpointing enabled (WithCheckpoints) the state at each barrier is
-// made durable, so a node killed at a barrier replays only the work
-// downstream of it: a plan-barrier loss re-reads the durable plan, a
-// shuffle-barrier loss reloads the lost partitions' bucket inputs and
-// re-runs only their COMBINE. Without checkpointing the same losses
-// surface as retryable BarrierLossErrors and runFUDJRecoverable falls
-// back to abort-and-rerun of the whole join step — the baseline the
-// chaos suites contrast against.
+// record sits in its destination partition's post-shuffle input). When
+// a query's fault config can kill at a barrier, the state at each
+// barrier is made durable, so a node killed there replays only the
+// work downstream of it: a plan-barrier loss re-reads the durable
+// plan, a shuffle-barrier loss reloads the lost partitions' bucket
+// inputs and re-runs only their COMBINE. Every layout — hash, naive
+// theta and smart theta — crosses the same shuffle barrier.
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"fudj/internal/cluster"
-	"fudj/internal/trace"
 	"fudj/internal/types"
 )
 
 // stepRecovery carries one join step's barrier state: the shared
 // recovery manager plus the step ordinal namespacing its checkpoint
-// keys. A nil *stepRecovery disables all barrier logic (the pre-
-// checkpoint code paths run unchanged).
+// keys. A nil *stepRecovery disables all barrier logic (fault-free
+// queries run with no checkpoint writes and no barrier spans).
 type stepRecovery struct {
 	rm   *cluster.RecoveryManager
 	step int
@@ -48,41 +43,6 @@ func (r *stepRecovery) shuffleKey(side string, part int) string {
 	return fmt.Sprintf("s%d-shuffle-%s-p%d", r.step, side, part)
 }
 
-// runFUDJRecoverable drives one FUDJ join step through barrier-loss
-// recovery. With a checkpoint store attached, losses are healed inside
-// runFUDJ and never reach here; without one, a BarrierLossError aborts
-// the step and the whole step re-runs, up to the cluster's task
-// attempt budget.
-func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, rm *cluster.RecoveryManager, step int, jsp *trace.Span, f *fudjStep,
-	left cluster.Data, leftSchema *types.Schema,
-	right cluster.Data, rightSchema *types.Schema, outSchema *types.Schema) (cluster.Data, error) {
-
-	if rm == nil {
-		return db.runFUDJ(ctx, clus, counters, mem, nil, jsp, f, left, leftSchema, right, rightSchema, outSchema)
-	}
-	attempts := clus.RetryPolicy().MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var fails []error
-	for attempt := 0; attempt < attempts; attempt++ {
-		rec := &stepRecovery{rm: rm, step: step}
-		out, err := db.runFUDJ(ctx, clus, counters, mem, rec, jsp, f, left, leftSchema, right, rightSchema, outSchema)
-		var loss *cluster.BarrierLossError
-		if err != nil && errors.As(err, &loss) && ctx.Err() == nil {
-			// Abort-and-rerun: no checkpoint store, so the barrier loss
-			// replays the whole step — SUMMARIZE included — which is
-			// exactly the waste checkpointed execution avoids.
-			clus.Metrics().Counter(cluster.MetricRetries).Add(1)
-			fails = append(fails, err)
-			continue
-		}
-		return out, err
-	}
-	return nil, fmt.Errorf("engine: fudj %s step %d gave up after %d attempts: %w",
-		f.def.Name, step, attempts, errors.Join(fails...))
-}
-
 // planBarrier crosses the plan barrier: the broadcast plan blob is
 // checkpointed, injected node deaths fire, and lost nodes recover by
 // re-reading the durable plan (healing a damaged checkpoint with a
@@ -100,9 +60,6 @@ func planBarrier(clus *cluster.Cluster, rec *stepRecovery, planBuf []byte) ([]by
 	if len(lost) == 0 {
 		return planBuf, nil
 	}
-	if !rm.Enabled() {
-		return nil, rm.LossError(cluster.BarrierPlan, lost)
-	}
 	return rm.RecoverBlob(rec.planKey(), lost, func() ([]byte, error) {
 		// Corrupt/torn plan checkpoint: the coordinator still holds the
 		// plan, so healing is a re-broadcast (charged as such).
@@ -111,47 +68,92 @@ func planBarrier(clus *cluster.Cluster, rec *stepRecovery, planBuf []byte) ([]by
 	})
 }
 
+// route is one shuffle layout's routing function: it appends the
+// destination partitions of record i of source partition src to dst.
+// A layout's exchange and its shuffle-barrier recompute share one
+// route, so each layout's routing is written once.
+type route func(src, i int, r types.Record, dst []int) []int
+
+// hashRoute sends each record to the partition its key hashes to.
+func hashRoute(p int, key func(types.Record) uint64) route {
+	return func(_, _ int, r types.Record, dst []int) []int {
+		return append(dst, int(key(r)%uint64(p)))
+	}
+}
+
+// randomRoute deals record i of source src to partition (src+i) mod p:
+// round-robin as a pure function of the record's position.
+func randomRoute(p int) route {
+	return func(src, i int, _ types.Record, dst []int) []int {
+		return append(dst, (src+i)%p)
+	}
+}
+
+// replicateRoute sends every record to every partition;
+// cluster.Replicate is its zero-copy exchange.
+func replicateRoute(p int) route {
+	return func(_, _ int, _ types.Record, dst []int) []int {
+		for d := 0; d < p; d++ {
+			dst = append(dst, d)
+		}
+		return dst
+	}
+}
+
+// replayRoute rebuilds one partition's post-shuffle input from the
+// surviving pre-shuffle data: sources are walked in partition order
+// and each record is kept once per time rt routes it to part — the
+// exact order the shuffle's sequential delivery produced.
+func replayRoute(pre cluster.Data, rt route, part int) []types.Record {
+	var out []types.Record
+	var dsts []int
+	for src, recs := range pre {
+		for i, r := range recs {
+			dsts = rt(src, i, r, dsts[:0])
+			for _, d := range dsts {
+				if d == part {
+					out = append(out, r)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // shuffleSide is one input side at the shuffle barrier: its
-// post-shuffle partitions (mutated in place on recovery) and a closure
-// reconstructing a single partition's input from the surviving
-// pre-shuffle data, in exactly the order the shuffle delivered it.
+// post-shuffle partitions (mutated in place on recovery), and the
+// pre-shuffle data and route that produced them, so a single lost
+// partition's input can be rebuilt without re-running the exchange.
 type shuffleSide struct {
-	name      string
-	data      cluster.Data
-	recompute func(part int) []types.Record
+	name  string
+	data  cluster.Data
+	pre   cluster.Data
+	route route
 }
 
 // shuffleBarrier crosses the shuffle barrier: every partition's
 // post-shuffle input (both sides) is checkpointed, injected node
 // deaths fire, and each lost partition is restored from its checkpoint
 // — or recomputed when the checkpoint is damaged — so only the lost
-// partitions' COMBINE re-runs.
+// partitions' COMBINE re-runs. Restored inputs then go through the
+// same (budgeted) COMBINE as in a fault-free run.
 func shuffleBarrier(rec *stepRecovery, sides ...shuffleSide) error {
 	if rec == nil {
 		return nil
 	}
 	rm := rec.rm
-	if rm.Enabled() {
-		for _, s := range sides {
-			for part := range s.data {
-				if err := rm.CheckpointRecords(rec.shuffleKey(s.name, part), s.data[part]); err != nil {
-					return err
-				}
+	for _, s := range sides {
+		for part := range s.data {
+			if err := rm.CheckpointRecords(rec.shuffleKey(s.name, part), s.data[part]); err != nil {
+				return err
 			}
 		}
 	}
-	lost := rm.CrossBarrier(cluster.BarrierShuffle)
-	if len(lost) == 0 {
-		return nil
-	}
-	if !rm.Enabled() {
-		return rm.LossError(cluster.BarrierShuffle, lost)
-	}
-	for _, part := range lost {
+	for _, part := range rm.CrossBarrier(cluster.BarrierShuffle) {
 		for _, s := range sides {
 			s.data[part] = nil // wiped with the node
 			recs, err := rm.RecoverRecords(rec.shuffleKey(s.name, part), part, func() ([]types.Record, error) {
-				return s.recompute(part), nil
+				return replayRoute(s.pre, s.route, part), nil
 			})
 			if err != nil {
 				return err
@@ -160,43 +162,4 @@ func shuffleBarrier(rec *stepRecovery, sides ...shuffleSide) error {
 		}
 	}
 	return nil
-}
-
-// recomputeHashShuffle rebuilds one partition's post-ExchangeHash
-// input from the surviving pre-shuffle data: sources are walked in
-// partition order and records kept when they hash to the lost
-// partition — the exact order the shuffle's sequential delivery
-// produced.
-func recomputeHashShuffle(assigned cluster.Data, hash func(types.Record) uint64, part int) []types.Record {
-	p := uint64(len(assigned))
-	var out []types.Record
-	for src := 0; src < len(assigned); src++ {
-		for _, r := range assigned[src] {
-			if int(hash(r)%p) == part {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
-// recomputeReplicate rebuilds one partition's post-Replicate input:
-// every source partition's records in source order.
-func recomputeReplicate(assigned cluster.Data) []types.Record {
-	return assigned.Flatten()
-}
-
-// recomputeRandomShuffle rebuilds one partition's post-ExchangeRandom
-// input: each source routes record i to partition (src+i) mod P.
-func recomputeRandomShuffle(assigned cluster.Data, part int) []types.Record {
-	p := len(assigned)
-	var out []types.Record
-	for src := 0; src < p; src++ {
-		for i, r := range assigned[src] {
-			if (src+i)%p == part {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
 }

@@ -53,7 +53,7 @@ func summarizeTasks(root *trace.Span) int {
 // surviving partitions (task spans equal to a fault-free run).
 func TestCheckpointRecoveryAtShuffleBarrier(t *testing.T) {
 	plain := newTestDB(t)
-	db := newTestDB(t, WithCheckpoints())
+	db := newTestDB(t)
 	for _, q := range chaosQueries {
 		t.Run(q.name, func(t *testing.T) {
 			base, err := plain.Execute(q.sql, Trace())
@@ -99,38 +99,6 @@ func TestCheckpointRecoveryAtShuffleBarrier(t *testing.T) {
 	}
 }
 
-// TestRecoveryAbortRerunWithoutCheckpoints pins the baseline the
-// tentpole replaces: the same barrier kill without a checkpoint store
-// still converges — by re-running the whole join step, visible as
-// extra SUMMARIZE spans and zero checkpoint recoveries.
-func TestRecoveryAbortRerunWithoutCheckpoints(t *testing.T) {
-	db := newTestDB(t)
-	q := chaosQueries[0]
-	base, err := db.Execute(q.sql, Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.MustConfigure(WithRetryPolicy(chaosRetry()))
-	db.MustConfigure(WithFaults(barrierKillConfig(cluster.BarrierShuffle, 1)))
-	res, err := db.Execute(q.sql, Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "abort-and-rerun", res.Rows, base.Rows)
-	if res.Faults.PartitionsRecovered != 0 {
-		t.Errorf("PartitionsRecovered = %d, want 0 without checkpoints", res.Faults.PartitionsRecovered)
-	}
-	if res.Faults.CheckpointBytes != 0 {
-		t.Errorf("CheckpointBytes = %d, want 0 without checkpoints", res.Faults.CheckpointBytes)
-	}
-	if res.Faults.Retries == 0 {
-		t.Error("no step retry recorded for the aborted attempt")
-	}
-	if got, want := countSpans(res.Trace, "SUMMARIZE"), countSpans(base.Trace, "SUMMARIZE"); got <= want {
-		t.Errorf("SUMMARIZE phase spans = %d, want > %d — abort-and-rerun must replay the step", got, want)
-	}
-}
-
 // TestCheckpointRecoveryHealsDamage pins corruption healing: with
 // every checkpoint write torn (or bit-flipped), a barrier kill still
 // converges to the fault-free answer — the damaged checkpoints are
@@ -148,7 +116,6 @@ func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := barrierKillConfig(cluster.BarrierShuffle, 1)
 			tc.arm(cfg)
-			db.MustConfigure(WithCheckpoints())
 			db.MustConfigure(WithFaults(cfg))
 			res := mustQuery(t, db, chaosQueries[0].sql)
 			sameRows(t, tc.name, res.Rows, base.Rows)
@@ -163,11 +130,24 @@ func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 }
 
 // TestKillAtBarrierMatrix sweeps barrier × node: every combination
-// must recover in place and agree with the fault-free answer.
+// must recover in place — no step retry — and agree with the
+// fault-free answer. Smart theta is one more input: its stateless
+// split routing lets it cross the same shuffle barrier.
 func TestKillAtBarrierMatrix(t *testing.T) {
-	plain := newTestDB(t)
-	db := newTestDB(t, WithCheckpoints())
+	type input struct {
+		name, sql  string
+		smartTheta bool
+	}
+	var inputs []input
 	for _, q := range chaosQueries {
+		inputs = append(inputs, input{name: q.name, sql: q.sql})
+	}
+	inputs = append(inputs, input{name: "smart-theta", sql: thetaSQL, smartTheta: true})
+	plain := newTestDB(t)
+	db := newTestDB(t)
+	for _, q := range inputs {
+		plain.MustConfigure(WithSmartTheta(q.smartTheta))
+		db.MustConfigure(WithSmartTheta(q.smartTheta))
 		base := mustQuery(t, plain, q.sql)
 		for _, b := range []cluster.Barrier{cluster.BarrierPlan, cluster.BarrierShuffle} {
 			for node := 0; node < 2; node++ {
@@ -181,6 +161,9 @@ func TestKillAtBarrierMatrix(t *testing.T) {
 				if res.Faults.PartitionsRecovered == 0 {
 					t.Errorf("%s: no partitions recovered", name)
 				}
+				if res.Faults.Retries != 0 {
+					t.Errorf("%s: Retries = %d, want 0 — recovery must not re-run the step", name, res.Faults.Retries)
+				}
 			}
 		}
 	}
@@ -193,7 +176,6 @@ func TestCheckpointRecoverySweepsTempFiles(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	db := newTestDB(t)
-	db.MustConfigure(WithCheckpoints())
 	db.MustConfigure(WithMemoryBudget(64 << 20))
 	cfg := chaosConfig(5)
 	cfg.BarrierKills = []cluster.BarrierKill{{Barrier: cluster.BarrierShuffle, Node: 0}}
@@ -214,17 +196,18 @@ func TestCheckpointRecoverySweepsTempFiles(t *testing.T) {
 
 // TestRecoveryCancelledQuerySweepsTempFiles covers the abandoned-query
 // path: a query cancelled mid-flight (both nodes straggling) must
-// still tear down its spill and checkpoint directories.
+// still tear down its spill and checkpoint directories. The armed
+// barrier kill is what gives the query a checkpoint store.
 func TestRecoveryCancelledQuerySweepsTempFiles(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	db := newTestDB(t)
-	db.MustConfigure(WithCheckpoints())
 	db.MustConfigure(WithMemoryBudget(64 << 20))
 	db.MustConfigure(WithFaults(&cluster.FaultConfig{
 		Seed:           1,
 		StragglerNodes: []int{0, 1},
 		StragglerDelay: 400 * time.Millisecond,
+		BarrierKills:   []cluster.BarrierKill{{Barrier: cluster.BarrierShuffle, Node: 0}},
 	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()

@@ -25,9 +25,14 @@ import (
 //  4. each partition joins its owned left buckets against the matching
 //     right buckets it received.
 //
+// Both routes are pure functions of the record and its position in
+// its source partition, so the operator crosses the same shuffle
+// barrier as the other layouts: a lost partition's input is rebuilt
+// by replaying the routes over the surviving pre-shuffle data.
+//
 // Every matched pair is processed exactly once (at the owner of its
 // left bucket), so no result is produced twice.
-func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join core.Join,
+func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, rcv *stepRecovery, join core.Join,
 	combineBuckets combineFn,
 	lAssigned, rAssigned cluster.Data) (cluster.Data, error) {
 
@@ -103,8 +108,8 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 
 	// Greedy longest-processing-time assignment of left buckets. A hot
 	// bucket whose cost exceeds the per-partition fair share is split:
-	// it gets several owner partitions and its records are spread over
-	// them round-robin, so skewed workloads (the interval join's rush
+	// it gets several owner partitions and its records are dealt over
+	// them by position, so skewed workloads (the interval join's rush
 	// hours) cannot produce a straggler. Each left *record* still lands
 	// on exactly one partition, so no pair is produced twice.
 	type task struct {
@@ -178,38 +183,44 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 		}
 	}
 
-	// Route: left records spread round-robin over their bucket's
-	// owners, right records multicast to all partitions owning a
-	// matching left bucket.
-	var rrMu sync.Mutex
-	rr := make(map[int]int, len(lOwners))
-	lRouted, err := clus.ExchangeMulti(lAssigned, func(_ int, r types.Record) []int {
-		b := int(r[0].Int64())
-		owners := lOwners[b]
-		switch len(owners) {
-		case 0:
-			return nil
-		case 1:
-			return owners[:1]
+	// Route: left record i of source partition src goes to owner
+	// (src+i) mod len(owners) of its bucket — a pure function of its
+	// position, like ExchangeRandom, so re-execution and recovery
+	// replay the same split. Right records multicast to all partitions
+	// owning a matching left bucket.
+	lRoute := func(src, i int, r types.Record, dst []int) []int {
+		if owners := lOwners[int(r[0].Int64())]; len(owners) > 0 {
+			dst = append(dst, owners[(src+i)%len(owners)])
 		}
-		rrMu.Lock()
-		i := rr[b]
-		rr[b] = i + 1
-		rrMu.Unlock()
-		return owners[i%len(owners) : i%len(owners)+1]
-	})
+		return dst
+	}
+	rRoute := func(_, _ int, r types.Record, dst []int) []int {
+		return append(dst, rDest[int(r[0].Int64())]...)
+	}
+	lRouted, err := clus.ExchangeMulti(lAssigned, lRoute)
 	if err != nil {
 		return nil, err
 	}
-	rRouted, err := clus.ExchangeMulti(rAssigned, func(_ int, r types.Record) []int {
-		return rDest[int(r[0].Int64())]
-	})
+	rRouted, err := clus.ExchangeMulti(rAssigned, rRoute)
+	if err != nil {
+		return nil, err
+	}
+	// Shuffle barrier: both routed sides are durable per partition.
+	err = shuffleBarrier(rcv,
+		shuffleSide{name: "left", data: lRouted, pre: lAssigned, route: lRoute},
+		shuffleSide{name: "right", data: rRouted, pre: rAssigned, route: rRoute})
 	if err != nil {
 		return nil, err
 	}
 
 	// Each partition joins its owned pairs.
 	return clus.Run(lRouted, func(part int, in []types.Record) (out []types.Record, err error) {
+		// Registered before CatchPanic so it observes the final err.
+		defer func() {
+			if err == nil {
+				rcv.markDone("combine", part)
+			}
+		}()
 		defer core.CatchPanic(name, "combine", part, nil, &err)
 		if mem != nil {
 			// Memory-bounded owned-pair join: invert this partition's

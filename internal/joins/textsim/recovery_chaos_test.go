@@ -22,7 +22,6 @@ func TestCheckpointRecovery(t *testing.T) {
 	if len(clean.Rows) == 0 {
 		t.Fatal("fault-free run produced no rows")
 	}
-	db.MustConfigure(engine.WithCheckpoints())
 
 	for _, kill := range []struct {
 		name string

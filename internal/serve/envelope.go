@@ -2,9 +2,8 @@
 // error taxonomy. A query failure crosses the socket as an Envelope
 // (one JSON object inside a FrameError frame) and is decoded back into
 // the *same concrete error types* the in-process engine returns —
-// *sched.AdmissionError, *engine.TimeoutError,
-// *cluster.BarrierLossError, *core.ResourceError, *core.UDFError,
-// *cluster.FaultError — so errors.As and fudj.IsRetryable classify a
+// *sched.AdmissionError, *engine.TimeoutError, *core.ResourceError,
+// *core.UDFError, *cluster.FaultError — so errors.As and fudj.IsRetryable classify a
 // remote failure exactly as they would a local one.
 //
 // The single deliberate divergence is drain shedding: in process,
@@ -32,16 +31,15 @@ import (
 
 // Envelope error codes.
 const (
-	CodeAdmission   = "admission"
-	CodeTimeout     = "timeout"
-	CodeBarrierLoss = "barrier_loss"
-	CodeResource    = "resource"
-	CodeUDF         = "udf"
-	CodeFault       = "fault"
-	CodeParse       = "parse"
-	CodeProto       = "proto"
-	CodeInstance    = "instance"
-	CodeInternal    = "internal"
+	CodeAdmission = "admission"
+	CodeTimeout   = "timeout"
+	CodeResource  = "resource"
+	CodeUDF       = "udf"
+	CodeFault     = "fault"
+	CodeParse     = "parse"
+	CodeProto     = "proto"
+	CodeInstance  = "instance"
+	CodeInternal  = "internal"
 )
 
 // Envelope is the wire form of one structured error. Exactly one of
@@ -55,7 +53,6 @@ type Envelope struct {
 
 	Admission *AdmissionDetail `json:"admission,omitempty"`
 	Timeout   *TimeoutDetail   `json:"timeout,omitempty"`
-	Barrier   *BarrierDetail   `json:"barrier,omitempty"`
 	Resource  *ResourceDetail  `json:"resource,omitempty"`
 	UDF       *UDFDetail       `json:"udf,omitempty"`
 	Fault     *FaultDetail     `json:"fault,omitempty"`
@@ -82,13 +79,6 @@ type AdmissionDetail struct {
 // TimeoutDetail mirrors engine.TimeoutError.
 type TimeoutDetail struct {
 	TimeoutNs int64 `json:"timeout_ns"`
-}
-
-// BarrierDetail mirrors cluster.BarrierLossError.
-type BarrierDetail struct {
-	Barrier int   `json:"barrier"`
-	Nodes   []int `json:"nodes"`
-	Parts   []int `json:"parts"`
 }
 
 // ResourceDetail mirrors core.ResourceError.
@@ -220,7 +210,6 @@ func EncodeError(err error, retryAfter time.Duration) Envelope {
 
 	var adm *sched.AdmissionError
 	var tmo *engine.TimeoutError
-	var bl *cluster.BarrierLossError
 	var re *core.ResourceError
 	var ue *core.UDFError
 	var fe *cluster.FaultError
@@ -247,10 +236,6 @@ func EncodeError(err error, retryAfter time.Duration) Envelope {
 		env.Code = CodeTimeout
 		env.Timeout = &TimeoutDetail{TimeoutNs: int64(tmo.Timeout)}
 		env.Retryable = false
-	case errors.As(err, &bl):
-		env.Code = CodeBarrierLoss
-		env.Barrier = &BarrierDetail{Barrier: int(bl.Barrier), Nodes: bl.Nodes, Parts: bl.Parts}
-		env.Retryable = true
 	case errors.As(err, &re):
 		env.Code = CodeResource
 		env.Resource = &ResourceDetail{
@@ -305,14 +290,6 @@ func DecodeError(env Envelope) error {
 			return &engine.TimeoutError{
 				Timeout: time.Duration(env.Timeout.TimeoutNs),
 				Err:     context.DeadlineExceeded,
-			}
-		}
-	case CodeBarrierLoss:
-		if env.Barrier != nil {
-			return &cluster.BarrierLossError{
-				Barrier: cluster.Barrier(env.Barrier.Barrier),
-				Nodes:   env.Barrier.Nodes,
-				Parts:   env.Barrier.Parts,
 			}
 		}
 	case CodeResource:

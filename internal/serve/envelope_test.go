@@ -30,6 +30,9 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 		// wireRetryable is the classification after the wire round
 		// trip. Equal to retryable for the whole taxonomy except drain.
 		wireRetryable bool
+		// wire, when set, is the envelope the client receives in place
+		// of EncodeError's output: one no current server produces.
+		wire *Envelope
 		// check asserts the concrete type survived with its fields, on
 		// both the wrapped in-process chain and the decoded remote err.
 		check func(t *testing.T, err error)
@@ -101,17 +104,21 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 			},
 		},
 		{
+			// The retired barrier_loss code is outside the client's
+			// taxonomy: an older server's envelope decodes to a
+			// *RemoteError that keeps the server's retryable verdict.
 			name:          "barrier loss",
-			err:           &cluster.BarrierLossError{Barrier: cluster.BarrierShuffle, Nodes: []int{1}, Parts: []int{2, 3}},
+			err:           &RemoteError{Code: "barrier_loss", Message: "node lost at shuffle barrier", Retry: true},
 			retryable:     true,
 			wireRetryable: true,
+			wire:          &Envelope{Code: "barrier_loss", Message: "node lost at shuffle barrier", Retryable: true},
 			check: func(t *testing.T, err error) {
-				var bl *cluster.BarrierLossError
-				if !errors.As(err, &bl) {
-					t.Fatal("BarrierLossError lost")
+				var rem *RemoteError
+				if !errors.As(err, &rem) {
+					t.Fatal("RemoteError lost")
 				}
-				if bl.Barrier != cluster.BarrierShuffle || len(bl.Nodes) != 1 || len(bl.Parts) != 2 {
-					t.Fatalf("fields lost: %+v", bl)
+				if rem.Code != "barrier_loss" || !rem.Retry {
+					t.Fatalf("fields lost: %+v", rem)
 				}
 			},
 		},
@@ -176,6 +183,9 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 			// way a frame payload travels, decode on the "client".
 			wrapped := fmt.Errorf("query 7: %w", tc.err)
 			env := EncodeError(wrapped, 250*time.Millisecond)
+			if tc.wire != nil {
+				env = *tc.wire
+			}
 			payload, err := json.Marshal(env)
 			if err != nil {
 				t.Fatal(err)
